@@ -1,17 +1,17 @@
 """Post-hoc calibrators: isotonic regression, logistic rescaling, and a
 guarded logistic variant that falls back to a constant predictor when the
 recalibrated training data still shows a large interval-supremum error.
+Each fitter takes a Columns or a sequence of ForecastSample.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import ForecastSample, ValidationError, grouped_from_arrays
+from .core import Columns, ValidationError, grouped_from_arrays
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -55,59 +55,41 @@ class CalibratorMap:
         return d
 
 
-def _pool_ties(forecasts: np.ndarray, outcomes: np.ndarray):
-    """Merge equal forecasts into weighted points (mean outcome, weight)."""
-    order = np.argsort(forecasts, kind="stable")
-    t, y = forecasts[order], outcomes[order]
-    uniq, inv = np.unique(t, return_inverse=True)
-    w = np.bincount(inv).astype(float)
-    ybar = np.bincount(inv, weights=y) / w
-    return uniq, ybar, w
-
-
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted pool-adjacent-violators; returns fitted values per point."""
-    n = len(y)
-    means = list(y)
-    weights = list(w)
-    sizes = [1] * n
-    i = 0
-    while i < len(means) - 1:
-        if means[i] <= means[i + 1] + 0.0:
-            i += 1
-            continue
-        tot = weights[i] + weights[i + 1]
-        means[i] = (weights[i] * means[i] + weights[i + 1] * means[i + 1]) / tot
-        weights[i] = tot
-        sizes[i] += sizes[i + 1]
-        del means[i + 1], weights[i + 1], sizes[i + 1]
-        while i > 0 and means[i - 1] > means[i]:
-            tot = weights[i - 1] + weights[i]
-            means[i - 1] = (weights[i - 1] * means[i - 1]
-                            + weights[i] * means[i]) / tot
-            weights[i - 1] = tot
-            sizes[i - 1] += sizes[i]
-            del means[i], weights[i], sizes[i]
-            i -= 1
+    """Weighted pool-adjacent-violators in O(n); fitted values per point.
+
+    Blocks live on a stack with non-decreasing means; each new point merges
+    with the top while the top's mean exceeds it, so every point is pushed
+    and popped at most once.
+    """
+    means, weights, sizes = [], [], []
+    for m, wt in zip(y.tolist(), w.tolist()):
+        size = 1
+        while means and means[-1] > m:
+            left = weights.pop()
+            tot = left + wt
+            m = (left * means.pop() + wt * m) / tot
+            wt = tot
+            size += sizes.pop()
+        means.append(m)
+        weights.append(wt)
+        sizes.append(size)
     return np.repeat(means, sizes)
 
 
-def fit_isotonic(samples: Sequence[ForecastSample]) -> CalibratorMap:
+def fit_isotonic(samples) -> CalibratorMap:
     """Least-squares monotone fit of outcomes on forecasts.
 
-    Ties are pre-pooled into weighted points, so the fitted map is a
-    function of the forecast value. Block values are weighted outcome
-    means. Prediction uses a right-continuous step between breakpoints
-    with constant extension beyond the data range.
+    Ties are pooled into weighted points, so the fitted map is a function
+    of the forecast value. Block values are weighted outcome means.
+    Prediction uses a right-continuous step between breakpoints with
+    constant extension beyond the data range.
     """
-    if not samples:
-        raise ValidationError("empty sample list")
-    t = np.array([s.forecast for s in samples])
-    y = np.array([s.outcome for s in samples])
-    uniq, ybar, w = _pool_ties(t, y)
-    fitted = _pava(ybar, w)
-    return CalibratorMap("isotonic",
-                         breakpoints=tuple(zip(uniq.tolist(), fitted.tolist())))
+    cols = Columns.of(samples)
+    data = grouped_from_arrays(cols.forecasts, cols.outcomes)
+    fitted = _pava(data.outcome_sums / data.counts, data.counts)
+    return CalibratorMap("isotonic", breakpoints=tuple(
+        zip(data.forecasts.tolist(), fitted.tolist())))
 
 
 def _sigmoid(z):
@@ -173,12 +155,9 @@ def smoothed_targets(outcomes: np.ndarray) -> np.ndarray:
     return outcomes * (s + 1.0) / (s + 2.0) + (1.0 - outcomes) / (f + 2.0)
 
 
-def fit_platt(samples: Sequence[ForecastSample]) -> CalibratorMap:
+def fit_platt(samples) -> CalibratorMap:
     """Logistic rescaling of forecasts with smoothed outcome targets."""
-    if not samples:
-        raise ValidationError("empty sample list")
-    t = np.array([s.forecast for s in samples])
-    y = np.array([s.outcome for s in samples])
+    t, y, _ = Columns.of(samples)
     target = smoothed_targets(y)
     theta, _ = _logistic_fit(t, target, np.ones_like(t))
     return CalibratorMap("platt", coefficients=(float(theta[0]), float(theta[1])))
@@ -198,7 +177,7 @@ def default_epsilon(n: int) -> float:
     return concentration_radius(n, 0.05)
 
 
-def fit_modified_platt(samples: Sequence[ForecastSample],
+def fit_modified_platt(samples,
                        epsilon_n: Optional[float] = None) -> CalibratorMap:
     """Logistic rescaling guarded by an interval-supremum check.
 
@@ -208,15 +187,13 @@ def fit_modified_platt(samples: Sequence[ForecastSample],
     constant map at the sample mean of the outcomes (whose in-sample scan
     error is zero).
     """
-    if not samples:
-        raise ValidationError("empty sample list")
+    cols = Columns.of(samples)
+    t, y = cols.forecasts, cols.outcomes
     if epsilon_n is None:
-        epsilon_n = default_epsilon(len(samples))
-    if epsilon_n <= 0:
-        raise ValueError("epsilon_n must be positive")
-    platt = fit_platt(samples)
-    t = np.array([s.forecast for s in samples])
-    y = np.array([s.outcome for s in samples])
+        epsilon_n = default_epsilon(len(t))
+    if not epsilon_n > 0:
+        raise ValidationError("epsilon_n must be positive")
+    platt = fit_platt(cols)
     z = apply_map(platt, t)
     est = cutoff_error(grouped_from_arrays(z, y))
     if est.value <= epsilon_n:
@@ -235,8 +212,7 @@ def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
         a, b = cal.coefficients
         out = _sigmoid(a * z + b)
     elif cal.kind == "isotonic":
-        xs = np.array([bp[0] for bp in cal.breakpoints])
-        vs = np.array([bp[1] for bp in cal.breakpoints])
+        xs, vs = np.array(cal.breakpoints, dtype=float).T
         idx = np.clip(np.searchsorted(xs, z, side="right") - 1, 0, len(xs) - 1)
         out = vs[idx]
     else:

@@ -57,6 +57,8 @@ class CertificationVerdict:
 
 def min_admissible_c(n: int, delta: float) -> float:
     """Smallest threshold c for which the 1 - 2*delta guarantee applies."""
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
     return math.sqrt(math.log(1.0 / delta) / (2.0 * (n // 2)))
 
 

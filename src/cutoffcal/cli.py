@@ -9,16 +9,16 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from typing import Optional
-
-import numpy as np
 
 from . import calibrate as cal
 from . import decision as dec
 from . import experiments as exp
 from . import metrics as met
 from .certify import certify as run_certify
-from .core import SeededRng, ValidationError, group_by_forecast, load_samples
+from .core import (SeededRng, ValidationError, grouped_from_arrays,
+                   load_columns)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,9 +35,9 @@ def _metric_report(name, value, n, params=None, argmax_interval=None):
     }
 
 
-def _read_samples(path, mode="empirical"):
+def _read_columns(path, mode="empirical"):
     with open(path, "rb") as fh:
-        return load_samples(fh, mode=mode)
+        return load_columns(fh, mode=mode)
 
 
 def _emit(obj, out_path: Optional[str]):
@@ -51,8 +51,8 @@ def _emit(obj, out_path: Optional[str]):
 
 def cmd_audit(args) -> int:
     mode = "oracle" if args.oracle else "empirical"
-    samples = _read_samples(args.input, mode=mode)
-    data = group_by_forecast(samples)
+    cols = _read_columns(args.input, mode=mode)
+    data = cols.grouped()
     est = met.cutoff_error(data)
     reports = [
         _metric_report("cutoff", est.value, data.n,
@@ -65,7 +65,7 @@ def cmd_audit(args) -> int:
                        data.n),
     ]
     if args.oracle:
-        odata = group_by_forecast(samples, residual_mode="oracle")
+        odata = cols.grouped("oracle")
         oest = met.cutoff_error(odata)
         reports += [
             _metric_report("oracle_ece", met.oracle_ece(odata), odata.n),
@@ -79,48 +79,41 @@ def cmd_audit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    samples = _read_samples(args.input)
+    cols = _read_columns(args.input)
     if args.method == "isotonic":
-        cmap = cal.fit_isotonic(samples)
+        cmap = cal.fit_isotonic(cols)
     elif args.method == "platt":
-        cmap = cal.fit_platt(samples)
+        cmap = cal.fit_platt(cols)
     else:
-        cmap = cal.fit_modified_platt(samples, args.epsilon)
+        cmap = cal.fit_modified_platt(cols, args.epsilon)
     result = {"calibrator": cmap.to_dict()}
     if args.test_input:
-        test = _read_samples(args.test_input)
-        t = np.array([s.forecast for s in test])
-        y = np.array([s.outcome for s in test])
-        from .core import grouped_from_arrays
+        t, y, _ = _read_columns(args.test_input)
         pre = met.cutoff_error(grouped_from_arrays(t, y)).value
         post = met.cutoff_error(
             grouped_from_arrays(cal.apply_map(cmap, t), y)).value
         result["evaluation"] = {"pre_cutoff": pre, "post_cutoff": post,
-                                "n_test": len(test)}
+                                "n_test": len(t)}
     _emit(result, args.out)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    samples = _read_samples(args.input)
-    forecasts = [s.forecast for s in samples]
-    outcomes = [s.outcome for s in samples]
+    cols = _read_columns(args.input)
 
     def pretrained(train_cov, train_y):
         # the file already carries model forecasts; the model is identity
         return lambda x: x
 
     seed = SeededRng(args.shuffle_seed) if args.shuffle_seed is not None else None
-    verdict = run_certify(forecasts, outcomes, pretrained, args.c, args.delta,
-                          split_seed=seed)
+    verdict = run_certify(cols.forecasts.tolist(), cols.outcomes, pretrained,
+                          args.c, args.delta, split_seed=seed)
     _emit(verdict.to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_decide(args) -> int:
-    samples = _read_samples(args.input, mode="oracle")
-    t = np.array([s.forecast for s in samples])
-    mu = np.array([s.oracle_mean for s in samples])
+    t, y, mu = _read_columns(args.input, mode="oracle")
     ev = dec.DecisionEvalSet(t, mu, args.tau)
     risk = dec.risk_bd(ev)
     bayes = dec.best_wrapper_risk(ev)
@@ -128,7 +121,6 @@ def cmd_decide(args) -> int:
     result = {"risk": risk, "bayes_risk": bayes, "monotone_risk": mono,
               "gap": risk - bayes, "monotone_gap": risk - mono}
     if args.ystar is not None:
-        y = np.array([s.outcome for s in samples])
         result["sign_testing_risk"] = dec.risk_st(t, y, args.ystar)
     _emit(result, args.out)
     return EXIT_OK
@@ -223,10 +215,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, ValueError) as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as e:  # pragma: no cover
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

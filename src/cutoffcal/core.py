@@ -7,18 +7,20 @@ interval of forecast values either contains all copies of a value or none.
 
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "ForecastSample",
+    "Columns",
     "GroupedDataset",
     "SeededRng",
+    "load_columns",
     "load_samples",
     "serialize_samples",
     "group_by_forecast",
@@ -116,6 +118,37 @@ class GroupedDataset:
                    residual_mode="oracle")
 
 
+class Columns(NamedTuple):
+    """Per-row values as float arrays; oracle_means is None when absent."""
+
+    forecasts: np.ndarray
+    outcomes: np.ndarray
+    oracle_means: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, samples) -> "Columns":
+        """samples itself if it is a Columns, else its per-row values."""
+        if isinstance(samples, Columns):
+            return samples
+        if not samples:
+            raise ValidationError("empty sample list")
+        means = [s.oracle_mean for s in samples]
+        return cls(np.array([s.forecast for s in samples], dtype=float),
+                   np.array([s.outcome for s in samples], dtype=float),
+                   None if None in means else np.array(means, dtype=float))
+
+    def grouped(self, residual_mode: str = "outcome") -> GroupedDataset:
+        """Pool by forecast; "oracle" takes residuals from oracle_means."""
+        if residual_mode == "outcome":
+            return grouped_from_arrays(self.forecasts, self.outcomes)
+        if residual_mode != "oracle":
+            raise ValueError(f"unknown residual_mode: {residual_mode!r}")
+        if self.oracle_means is None:
+            raise ValidationError("missing oracle_mean in oracle mode")
+        return grouped_from_arrays(self.forecasts, self.oracle_means,
+                                   "oracle", outcomes=self.outcomes)
+
+
 def _parse_header(line: str, mode: str) -> bool:
     cols = [c.strip() for c in line.strip().split(",")]
     if cols[:2] != ["forecast", "outcome"]:
@@ -126,46 +159,66 @@ def _parse_header(line: str, mode: str) -> bool:
     return has_oracle
 
 
-def load_samples(source, mode: str = "empirical") -> list[ForecastSample]:
-    """Parse a CSV byte stream (or bytes/str) into validated samples.
-
-    Header must be ``forecast,outcome[,oracle_mean]``. Raises
-    ValidationError with the offending line number on malformed rows or
-    values outside [0, 1]. Input order is preserved.
-    """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-    lines = text.splitlines()
-    if not lines:
-        raise ValidationError("empty input")
-    has_oracle = _parse_header(lines[0], mode)
-
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _parse_lines(lines: list, width: int) -> np.ndarray:
+    """Parse data lines one by one (the header is line 1); raise
+    ValidationError naming the first malformed or out-of-range line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        expected = 3 if has_oracle else 2
-        if len(parts) != expected:
+        if len(parts) != width:
             raise ValidationError(f"malformed row at line {lineno}: {line!r}")
         try:
             vals = [float(p) for p in parts]
         except ValueError:
             raise ValidationError(f"malformed row at line {lineno}: {line!r}")
-        for v in vals:
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise ValidationError(f"value out of [0,1] at line {lineno}")
-        oracle = vals[2] if has_oracle else None
-        samples.append(ForecastSample(vals[0], vals[1], oracle))
-    if not samples:
+        # NaN fails the comparison; infinities are out of range
+        if not all(0.0 <= v <= 1.0 for v in vals):
+            raise ValidationError(f"value out of [0,1] at line {lineno}")
+        rows.append(vals)
+    if not rows:
         raise ValidationError("no data rows")
-    return samples
+    return np.array(rows, dtype=float)
+
+
+def load_columns(source, mode: str = "empirical") -> Columns:
+    """Parse a CSV byte stream (or bytes/str) into float columns.
+
+    Header must be ``forecast,outcome[,oracle_mean]``. The data lines are
+    parsed in one vectorised pass and checked as a whole; only when that
+    check fails are they parsed again line by line, to raise
+    ValidationError with the offending line number. Blank lines are
+    skipped and row order is preserved.
+    """
+    raw = source.read() if hasattr(source, "read") else source
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"input is not UTF-8: {e}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise ValidationError("empty input")
+    has_oracle = _parse_header(lines[0], mode)
+    width = 3 if has_oracle else 2
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on zero rows
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                               ndmin=2)
+    except ValueError:  # numpy's parser is stricter than float()
+        table = np.empty((0, width))
+    if (len(table) == 0 or table.shape[1] != width
+            or not np.all((table >= 0.0) & (table <= 1.0))):
+        table = _parse_lines(lines[1:], width)
+    return Columns(*np.ascontiguousarray(table.T))
+
+
+def load_samples(source, mode: str = "empirical") -> list[ForecastSample]:
+    """load_columns as one ForecastSample per row (a convenience adapter)."""
+    cols = load_columns(source, mode)
+    rows = zip(*(c.tolist() for c in cols if c is not None))
+    return [ForecastSample(*row) for row in rows]
 
 
 def serialize_samples(samples: Sequence[ForecastSample]) -> str:
@@ -183,61 +236,35 @@ def serialize_samples(samples: Sequence[ForecastSample]) -> str:
 
 def group_by_forecast(samples: Sequence[ForecastSample],
                       residual_mode: str = "outcome") -> GroupedDataset:
-    """Pool samples by bitwise-equal forecast, sorted ascending.
-
-    residual_mode="oracle" uses (oracle_mean - forecast) residuals and
-    requires oracle_mean on every sample. Per-group sums use math.fsum so
-    prefix scans over large n keep 1e-12 accuracy.
-    """
-    if not samples:
-        raise ValidationError("empty sample list")
-    if residual_mode not in ("outcome", "oracle"):
-        raise ValueError(f"unknown residual_mode: {residual_mode!r}")
-    if residual_mode == "oracle":
-        if any(s.oracle_mean is None for s in samples):
-            raise ValidationError("missing oracle_mean in oracle mode")
-
-    t = np.array([s.forecast for s in samples], dtype=float)
-    y = np.array([s.outcome for s in samples], dtype=float)
-    if residual_mode == "oracle":
-        target = np.array([s.oracle_mean for s in samples], dtype=float)
-    else:
-        target = y
-
-    order = np.argsort(t, kind="stable")
-    t, y, target = t[order], y[order], target[order]
-    resid = target - t
-
-    uniq, start = np.unique(t, return_index=True)
-    bounds = np.append(start, len(t))
-    residual_sums = np.empty(len(uniq))
-    outcome_sums = np.empty(len(uniq))
-    counts = np.empty(len(uniq))
-    for g in range(len(uniq)):
-        lo, hi = bounds[g], bounds[g + 1]
-        residual_sums[g] = math.fsum(resid[lo:hi])
-        outcome_sums[g] = math.fsum(y[lo:hi])
-        counts[g] = hi - lo
-    return GroupedDataset(uniq, residual_sums, counts, outcome_sums,
-                          n=len(samples), residual_mode=residual_mode)
+    """Pool samples by bitwise-equal forecast (adapter for Columns.grouped)."""
+    return Columns.of(samples).grouped(residual_mode)
 
 
-def grouped_from_arrays(forecasts, targets, residual_mode="outcome") -> GroupedDataset:
-    """Fast path for array inputs (used by simulation harnesses).
+def grouped_from_arrays(forecasts, targets, residual_mode="outcome",
+                        outcomes=None) -> GroupedDataset:
+    """Pool rows by bitwise-equal forecast: the one tie-pooling routine.
 
-    Same pooling semantics as group_by_forecast; outcome sums equal target
-    sums (targets are outcomes, or conditional means in oracle mode).
+    Residuals are targets - forecasts (targets are outcomes, or conditional
+    means in oracle mode); outcome sums default to target sums. All values
+    must be finite and in [0, 1]. Rows are sorted by (forecast, target,
+    outcome) first, so sums do not depend on input order; np.add.reduceat
+    sums each group pairwise, keeping its error O(eps log n).
     """
     t = np.asarray(forecasts, dtype=float)
     v = np.asarray(targets, dtype=float)
+    y = v if outcomes is None else np.asarray(outcomes, dtype=float)
+    for name, a in (("forecasts", t), ("targets", v), ("outcomes", y)):
+        if a.ndim != 1 or a.shape != t.shape:
+            raise ValidationError(f"{name} must be 1-D and as long as forecasts")
+        if not np.all((a >= 0.0) & (a <= 1.0)):
+            raise ValidationError(f"{name} must be finite and in [0, 1]")
     if t.size == 0:
         raise ValidationError("empty dataset")
-    order = np.argsort(t, kind="stable")
+    order = np.lexsort((v, t) if outcomes is None else (y, v, t))
     t, v = t[order], v[order]
-    uniq, inv = np.unique(t, return_inverse=True)
-    resid = v - t
-    residual_sums = np.bincount(inv, weights=resid, minlength=len(uniq))
-    outcome_sums = np.bincount(inv, weights=v, minlength=len(uniq))
-    counts = np.bincount(inv, minlength=len(uniq)).astype(float)
-    return GroupedDataset(uniq, residual_sums, counts, outcome_sums,
-                          n=int(t.size), residual_mode=residual_mode)
+    y = v if outcomes is None else y[order]
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    counts = np.diff(np.append(start, t.size)).astype(float)
+    return GroupedDataset(t[start], np.add.reduceat(v - t, start), counts,
+                          np.add.reduceat(y, start), n=int(t.size),
+                          residual_mode=residual_mode)

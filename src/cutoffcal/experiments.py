@@ -9,7 +9,6 @@ constant forecast.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, asdict
 from typing import List, Optional, Sequence, Tuple
@@ -17,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
-from .core import GroupedDataset, SeededRng, grouped_from_arrays
+from .core import GroupedDataset, SeededRng, ValidationError, grouped_from_arrays
 from .decision import DecisionEvalSet, risk_bd, best_wrapper_risk, \
     best_monotone_wrapper_risk
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
@@ -43,9 +42,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         if min(self.runs, self.n_train, self.n_eval) < 1:
-            raise ValueError("counts must be >= 1")
+            raise ValidationError("counts must be >= 1")
         if not (0.0 <= self.tau <= 1.0):
-            raise ValueError("tau must be in [0,1]")
+            raise ValidationError("tau must be in [0,1]")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import GroupedDataset, SeededRng
+from .core import GroupedDataset, SeededRng, ValidationError
 
 __all__ = [
     "CutoffEstimate",
@@ -34,6 +34,8 @@ __all__ = [
 
 def concentration_radius(n: float, delta: float) -> float:
     """High-probability deviation radius of the plug-in interval estimator."""
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
     return (20.0 + math.sqrt(2.0 * math.log(1.0 / delta))) / math.sqrt(n)
 
 
@@ -91,7 +93,7 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     error (see the staircase construction in the experiments module).
     """
     if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+        raise ValidationError("num_bins must be >= 1")
     idx = np.ceil(data.forecasts * num_bins).astype(int)
     idx = np.clip(idx, 1, num_bins) - 1
     w = np.bincount(idx, weights=data.counts, minlength=num_bins)

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from cutoffcal import (ForecastSample, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
-from cutoffcal.calibrate import _logistic_fit, _sigmoid, smoothed_targets
+from cutoffcal.calibrate import (_logistic_fit, _pava, _sigmoid,
+                                 smoothed_targets)
 
 
 def make_samples(t, y):
@@ -107,6 +111,29 @@ def test_isotonic_step_convention():
 def test_isotonic_empty_raises():
     with pytest.raises(ValidationError):
         fit_isotonic([])
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+                          | st.floats(0, 1),
+                          st.sampled_from([1.0, 2.0, 0.5]) | st.floats(0.01, 50)),
+                min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_pava_matches_scipy_with_weights_and_ties(points):
+    y, w = (np.array(c) for c in zip(*points))
+    expected = isotonic_regression(y, weights=w).x
+    assert np.max(np.abs(_pava(y, w) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [
+    np.linspace(1.0, 0.0, 100_000),                   # one block at the end
+    np.tile(np.linspace(1.0, 0.0, 1_000), 100),       # sawtooth, 100 teeth
+    np.tile([0.9, 0.1], 50_000),                      # alternating pairs
+], ids=["decreasing", "sawtooth", "alternating"])
+def test_pava_adversarial_100k_matches_scipy(y):
+    w = np.random.default_rng(3).uniform(0.5, 2.0, size=len(y))
+    fitted = _pava(y, w)
+    assert np.all(np.diff(fitted) >= 0)
+    assert np.max(np.abs(fitted - isotonic_regression(y, weights=w).x)) <= 1e-12
 
 
 def test_platt_flat_data_recovers_adjusted_mean():

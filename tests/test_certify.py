@@ -99,3 +99,13 @@ def test_verdict_to_dict_roundtrips_fallback():
     assert d["returned_model"]["kind"] == "constant"
     assert set(d) >= {"estimate", "threshold", "c", "delta", "n",
                       "fallback_mean"}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 3.0])
+def test_trainer_output_out_of_range_raises(bad):
+    def trainer(train_cov, train_y):
+        return lambda x: bad
+
+    with pytest.raises(ValidationError, match="forecasts"):
+        certify([0.5] * 2000, [i % 2 for i in range(2000)], trainer,
+                c=0.8, delta=0.05)

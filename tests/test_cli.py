@@ -164,3 +164,32 @@ def test_stdout_emission(empirical_csv, capsys):
     assert main(["audit", str(empirical_csv)]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert "reports" in obj
+
+
+@pytest.mark.parametrize("args", [
+    ["audit", "{csv}", "--bins", "0"],
+    ["audit", "{csv}", "--delta", "1.5"],
+    ["certify", "{csv}", "--c", "0.8", "--delta", "0"],
+    ["calibrate", "{csv}", "--method", "modified-platt", "--epsilon", "-1"],
+    ["simulate", "--runs", "0"],
+    ["simulate", "--tau", "2"],
+])
+def test_bad_arguments_exit_2(args, empirical_csv, capsys):
+    assert main([a.format(csv=empirical_csv) for a in args]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"forecast,outcome\n0.5,1\xe9\n")
+    assert main(["audit", str(p)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_unexpected_value_error_exit_3(empirical_csv, monkeypatch, capsys):
+    def broken(data):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("cutoffcal.metrics.cutoff_error", broken)
+    assert main(["audit", str(empirical_csv)]) == 3
+    assert "internal error: bug" in capsys.readouterr().err

@@ -1,13 +1,15 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoffcal import (ForecastSample, ValidationError, group_by_forecast,
-                       load_samples, serialize_samples)
+from cutoffcal import (ForecastSample, ValidationError, core, group_by_forecast,
+                       grouped_from_arrays, load_columns, load_samples,
+                       serialize_samples)
 
 
 def test_load_basic():
@@ -109,3 +111,118 @@ def test_group_residual_totals_match_raw(pairs):
     raw = math.fsum(y - t for t, y in pairs)
     assert math.fsum(data.residual_sums.tolist()) == pytest.approx(raw, abs=1e-12)
     assert float(np.sum(data.counts)) == len(samples)
+
+
+def line_parser(text):
+    """The line-by-line reference the vectorised loader falls back to."""
+    lines = text.splitlines()
+    width = 3 if core._parse_header(lines[0], "empirical") else 2
+    return core._parse_lines(lines[1:], width)
+
+
+# name -> (CSV text, whether the vectorised pass accepts it on its own)
+EDGE_INPUTS = {
+    "blank lines": ("forecast,outcome\n\n0.5,1\n\n0.2,0\n\n", True),
+    "whitespace-only line": ("forecast,outcome\n0.5,1\n \t \n0.2,0\n", False),
+    "crlf": ("forecast,outcome\r\n0.5,1\r\n0.2,0\r\n", True),
+    "lone cr": ("forecast,outcome\r0.5,1\r0.2,0", True),
+    "padded fields": ("forecast,outcome\n 0.5 , 1\t\n", True),
+    "oracle column": ("forecast,outcome,oracle_mean\n0.5,1,0.4\n", True),
+    "underscore digits": ("forecast,outcome\n0.2_5,1\n", False),
+    "comment line": ("forecast,outcome\n0.5,1\n# note\n", False),
+    "trailing comment": ("forecast,outcome\n0.5,1 # note\n", False),
+    "nan": ("forecast,outcome\n0.5,1\nnan,0\n", False),
+    "inf": ("forecast,outcome\n0.5,1\n0.2,inf\n", False),
+    "negative": ("forecast,outcome\n0.5,-0.5\n", False),
+    "header only": ("forecast,outcome\n", False),
+    "header and blanks": ("forecast,outcome\n\n\n", False),
+    "extra column": ("forecast,outcome\n0.5,1\n0.5,1,0.3\n", False),
+    "missing column": ("forecast,outcome,oracle_mean\n0.5,1\n", False),
+    "trailing comma": ("forecast,outcome\n0.5,1,\n", False),
+    "empty field": ("forecast,outcome\n,1\n", False),
+    "form feed in row": ("forecast,outcome\n0.5\x0c,1\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_loader_matches_line_parser(name, monkeypatch):
+    text, fast = EDGE_INPUTS[name]
+    try:
+        expected, error = line_parser(text), None
+    except ValidationError as e:
+        expected, error = None, str(e)
+    fallbacks = []
+    real = core._parse_lines
+    monkeypatch.setattr(core, "_parse_lines",
+                        lambda *a: fallbacks.append(a) or real(*a))
+    if error is None:
+        cols = load_columns(text)
+        got = np.column_stack([c for c in cols if c is not None])
+        assert got.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ValidationError) as info:
+            load_columns(text)
+        assert str(info.value) == error
+    assert (not fallbacks) == fast
+
+
+@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1,
+                max_size=50),
+       st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", " {:.6f} "]))
+@settings(max_examples=200, deadline=None)
+def test_loader_values_match_float(pairs, fmt):
+    text = "forecast,outcome\n" + "".join(
+        f"{fmt.format(t)},{fmt.format(y)}\n" for t, y in pairs)
+    cols = load_columns(text)
+    assert np.stack([cols.forecasts, cols.outcomes], axis=1).tobytes() == \
+        line_parser(text).tobytes()
+
+
+def test_load_rejects_non_utf8():
+    with pytest.raises(ValidationError, match="UTF-8"):
+        load_columns(b"forecast,outcome\n0.5,1\xff\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7, -0.5])
+@pytest.mark.parametrize("where", ["forecasts", "targets", "outcomes"])
+def test_pooling_rejects_bad_values(bad, where):
+    arrays = {"forecasts": [0.2, 0.4, 0.5], "targets": [0.1, 0.9, 0.3],
+              "outcomes": [0.0, 1.0, 1.0]}
+    arrays[where][1] = bad
+    with pytest.raises(ValidationError, match=where):
+        grouped_from_arrays(arrays["forecasts"], arrays["targets"], "oracle",
+                            outcomes=arrays["outcomes"])
+
+
+def test_pooling_rejects_length_mismatch():
+    with pytest.raises(ValidationError, match="targets"):
+        grouped_from_arrays([0.2, 0.5], [0.1])
+
+
+def exact_group_sums(t, v):
+    sums = {}
+    for a, b in zip(t, v):
+        sums[a] = sums.get(a, Fraction(0)) + Fraction(b) - Fraction(a)
+    return [sums[a] for a in sorted(sums)]
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+                          st.floats(0, 1)), min_size=1, max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_pooled_sums_match_exact_fractions(pairs):
+    t, v = zip(*pairs)
+    data = grouped_from_arrays(t, v)
+    exact = exact_group_sums(t, v)
+    assert len(data) == len(exact)
+    for got, want in zip(data.residual_sums.tolist(), exact):
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12)
+
+
+def test_pooled_sums_large_groups_match_exact_fractions():
+    rng = np.random.default_rng(12)
+    t = rng.choice([0.25, 0.5, 0.8], size=60_000)
+    v = rng.random(60_000)
+    data = grouped_from_arrays(t, v)
+    for got, want in zip(data.residual_sums.tolist(),
+                         exact_group_sums(t.tolist(), v.tolist())):
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12)
