@@ -35,13 +35,19 @@ def _metric_report(name, value, n, params=None, argmax_interval=None):
     }
 
 
+def _lipschitz_report(name, data):
+    lw = met.lipschitz_wce(data)
+    return _metric_report(name, lw.objective, data.n,
+                          {"certificate": lw.kkt_residual})
+
+
 def _read_columns(path, mode="empirical"):
     with open(path, "rb") as fh:
         return load_columns(fh, mode=mode)
 
 
 def _emit(obj, out_path: Optional[str]):
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -61,8 +67,7 @@ def cmd_audit(args) -> int:
                        est.argmax_interval),
         _metric_report("binned_ece", met.binned_ece(data, args.bins), data.n,
                        {"bins": args.bins}),
-        _metric_report("lipschitz_wce", met.lipschitz_wce(data).objective,
-                       data.n),
+        _lipschitz_report("lipschitz_wce", data),
     ]
     if args.oracle:
         odata = cols.grouped("oracle")
@@ -71,8 +76,7 @@ def cmd_audit(args) -> int:
             _metric_report("oracle_ece", met.oracle_ece(odata), odata.n),
             _metric_report("oracle_cutoff", oest.value, odata.n,
                            argmax_interval=oest.argmax_interval),
-            _metric_report("oracle_lipschitz_wce",
-                           met.lipschitz_wce(odata).objective, odata.n),
+            _lipschitz_report("oracle_lipschitz_wce", odata),
         ]
     _emit({"reports": reports}, args.out)
     return EXIT_OK

@@ -13,6 +13,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import ValidationError
+
 __all__ = [
     "DecisionEvalSet",
     "DiscreteMixture",
@@ -26,12 +28,21 @@ __all__ = [
 ]
 
 
+def _check_unit(name: str, values) -> None:
+    """Raise ValidationError unless every value is in [0, 1] (NaN is not)."""
+    values = np.asarray(values)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValidationError(f"{name} must be finite and in [0, 1]")
+
+
 @dataclass(frozen=True)
 class DecisionEvalSet:
     """Forecast / conditional-mean pairs with a decision threshold tau.
 
     weights defaults to uniform; fractional weights let analytic atom
-    constructions be evaluated exactly.
+    constructions be evaluated exactly. Raises ValidationError unless tau,
+    the forecasts and the means are finite values in [0, 1], the set is
+    non-empty, and the weights are finite, non-negative and not all zero.
     """
 
     forecasts: np.ndarray
@@ -40,14 +51,26 @@ class DecisionEvalSet:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "forecasts",
-                           np.asarray(self.forecasts, dtype=float))
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
+        t = np.asarray(self.forecasts, dtype=float)
+        mu = np.asarray(self.means, dtype=float)
+        _check_unit(f"tau ({self.tau!r})", self.tau)
+        if t.ndim != 1 or len(t) == 0 or mu.shape != t.shape:
+            raise ValidationError("forecasts and means must be non-empty "
+                                  "arrays of equal length")
+        _check_unit("forecasts", t)
+        _check_unit("means", mu)
         if self.weights is None:
-            w = np.full(len(self.forecasts), 1.0 / len(self.forecasts))
+            w = np.full(len(t), 1.0 / len(t))
         else:
             w = np.asarray(self.weights, dtype=float)
-            w = w / np.sum(w)
+            total = np.sum(w)
+            if (w.shape != t.shape or not np.all(np.isfinite(w))
+                    or np.any(w < 0.0) or not total > 0.0):
+                raise ValidationError("weights must be finite, non-negative, "
+                                      "one per forecast, with a positive sum")
+            w = w / total
+        object.__setattr__(self, "forecasts", t)
+        object.__setattr__(self, "means", mu)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -137,9 +160,12 @@ def risk_gaps(ev: DecisionEvalSet) -> Tuple[float, float]:
 
 def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     """Sign-testing risk: penalty |y - ystar| when the forecast sits on the
-    wrong side of ystar."""
+    wrong side of ystar. ystar, forecasts and outcomes must be in [0, 1]."""
     t = np.asarray(forecasts, dtype=float)
     y = np.asarray(outcomes, dtype=float)
+    _check_unit(f"ystar ({ystar!r})", ystar)
+    _check_unit("forecasts", t)
+    _check_unit("outcomes", y)
     if weights is None:
         w = np.full(len(t), 1.0 / len(t))
     else:

@@ -1,17 +1,16 @@
 """Simulation harness and analytic dataset constructions.
 
 Covers the misspecified-logistic simulation (risk gaps vs calibration
-metrics), the population logistic-rescaling counterexample with an LP
-certificate, and exact finite-atom constructions used as golden tests:
-the staircase, the two-atom separation example, and the perturbed
-constant forecast.
+metrics), the population logistic-rescaling counterexample with a
+Lipschitz weighted-error certificate, and exact finite-atom constructions
+used as golden tests: the staircase, the two-atom separation example, and
+the perturbed constant forecast.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -70,8 +69,8 @@ def _conditional_mean(x: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (1.0 - 2.0 * x) ** 2 + (1.0 - alpha) * x
 
 
-def _one_run(args) -> SimulationRunRecord:
-    config, run_index = args
+def _one_run(config: SimulationConfig,
+             run_index: int) -> SimulationRunRecord:
     rng = SeededRng(config.master_seed, run_index).generator()
     alpha = float(rng.uniform())
     refits = 0
@@ -105,23 +104,13 @@ def _one_run(args) -> SimulationRunRecord:
                                risk - bayes, risk - mono, run_index, refits)
 
 
-def run_simulation(config: SimulationConfig,
-                   max_workers: Optional[int] = None) -> List[SimulationRunRecord]:
+def run_simulation(config: SimulationConfig) -> List[SimulationRunRecord]:
     """Run the full simulation; records are deterministic per master_seed.
 
-    Runs derive independent seed streams from (master_seed, run_index), so
-    results are identical whether executed serially or in parallel.
-    max_workers defaults to the CALIB_THREADS environment variable (1 if
-    unset).
+    Each run derives its own seed stream from (master_seed, run_index), so
+    record i does not depend on how many runs are requested.
     """
-    if max_workers is None:
-        max_workers = int(os.environ.get("CALIB_THREADS", "1"))
-    jobs = [(config, i) for i in range(config.runs)]
-    if max_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_one_run, jobs))
-    return [_one_run(job) for job in jobs]
+    return [_one_run(config, i) for i in range(config.runs)]
 
 
 def make_staircase(N: int) -> List[Tuple[float, float, float]]:

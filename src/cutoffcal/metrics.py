@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import GroupedDataset, SeededRng, ValidationError
 
@@ -117,7 +116,11 @@ def oracle_ece(data: GroupedDataset) -> float:
 
 @dataclass(frozen=True)
 class LipschitzWeights:
-    """Optimal 1-Lipschitz weighting and the attained weighted error."""
+    """Optimal 1-Lipschitz weighting and the attained weighted error.
+
+    kkt_residual is the worst of the weights' constraint violation and the
+    gap between the objective r.w and the DP's optimal value.
+    """
 
     weights: np.ndarray
     objective: float
@@ -129,11 +132,15 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
 
     Adjacent-difference constraints suffice on the sorted support (pairwise
     Lipschitz constraints follow by the triangle inequality). The feasible
-    set is symmetric (w feasible implies -w feasible), so the one-sided LP
+    set is symmetric (w feasible implies -w feasible), so the one-sided
     maximum already equals the two-sided supremum of |sum w_j r_j|/n and is
-    always >= 0. Solutions are certified by primal feasibility and duality
-    gap below 1e-9 (interior-point with crossover yields an optimal basic
-    solution; the dense simplex is the fallback).
+    always >= 0.
+
+    The constraints form a chain, so the maximum is a forward dynamic
+    program over the concave value function of the last weight (see
+    _chain_argmaxes) followed by a backward pass that clips each stored
+    argmax into the window the next weight allows. The cost is
+    O(m log m) for m groups on every input.
     """
     m = len(data)
     r = data.residual_sums / data.n
@@ -142,27 +149,116 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
         return LipschitzWeights(w, abs(float(r[0])), 0.0)
 
     dt = np.diff(data.forecasts)
-    D = sparse.diags([np.ones(m - 1), -np.ones(m - 1)], [0, 1],
-                     shape=(m - 1, m))
-    A = sparse.vstack([D, -D]).tocsc()
-    b = np.concatenate([dt, dt])
-
-    res = linprog(-r, A_ub=A, b_ub=b, bounds=(-1.0, 1.0), method="highs-ipm")
-    if res.status != 0:
-        res = linprog(-r, A_ub=A, b_ub=b, bounds=(-1.0, 1.0), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    w = res.x
+    argmaxes, best = _chain_argmaxes(r, dt)
+    w = [argmaxes[-1]]
+    for u, d in zip(argmaxes[-2::-1], dt[::-1].tolist()):
+        x = w[-1]
+        w.append(x - d if u < x - d else x + d if u > x + d else u)
+    w = np.array(w[::-1])
     obj = float(np.dot(w, r))
-    # certificate: primal feasibility and primal/dual objective gap
-    primal_viol = max(0.0, float(np.max(A @ w - b)),
+    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w)) - dt)),
                       float(np.max(np.abs(w)) - 1.0))
-    # dual of min c.x: b@lam + l@lam_lo + u@lam_up with l=-1, u=+1
-    dual_min = (float(b @ res.ineqlin.marginals)
-                - float(np.sum(res.lower.marginals))
-                + float(np.sum(res.upper.marginals)))
-    gap = abs(-dual_min - obj)
-    return LipschitzWeights(w, obj, max(primal_viol, gap))
+    return LipschitzWeights(w, obj, max(primal_viol, abs(obj - best)))
+
+
+def _chain_argmaxes(r: np.ndarray, dt: np.ndarray):
+    """Forward pass of the chain DP: argmax_u V_j(u) for every j, and max V.
+
+    V_0(u) = r_0 u and V_j(u) = r_j u + max_{|v-u| <= dt_{j-1}} V_{j-1}(v)
+    on [-1, 1]. V_j is concave and piecewise linear, kept as segments of
+    length l. A segment has a base P: 0 for the initial segment of length
+    2, and S_j (S = cumsum(r)) for the flat segment of length 2 dt_j that
+    the window step inserts at the argmax after step j. At step j its
+    slope is S_j - P, so segments sit in the order of P, every P is known
+    up front, and the argmax is -1 plus the live length of the segments
+    with P < S_j. Live lengths sit in a Fenwick tree over the ranks of P.
+    The window step also trims dt_j from each end of [-1, 1]; segments are
+    deleted from the lowest and highest live ranks (two heaps), so each is
+    inserted and deleted once and the whole pass is O(m log m).
+
+    The optimum is tracked through V_j(-1) = -S_j plus the value of the
+    pieces trimmed so far from the low end. A trim that leaves a
+    segment partly alive reaches the tree only when that segment stops
+    being the end the trims work on (the `pending` ranks), so a long
+    segment worn down over many steps costs one tree update, not many.
+    """
+    m = len(r)
+    S = _prefix_sums(r)[1:].astype(float)
+    P = np.concatenate([[0.0], S[:-1]])     # bases: initial, then S_0..
+    order = np.argsort(P, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(1, m + 1)       # 1-based; rank 0 is a dummy
+    P = P[order]
+    below = np.searchsorted(P, S, "left").tolist()  # P < S_j: rank <= below[j]
+    base = [0.0] + P.tolist()
+    S_l, dt_l, rank = S.tolist(), dt.tolist(), rank.tolist()
+    tree = [0.0] * (m + 1)      # Fenwick tree over tree_len
+    tree_len = [0.0] * (m + 1)  # length the tree holds for each rank
+    seg = [0.0] * (m + 1)       # live length of each rank
+    lows, highs = [], []        # heaps of ranks; dead ranks popped lazily
+    pending = [0, 0]            # rank last trimmed at the low and high end
+
+    def sync(k):
+        d = seg[k] - tree_len[k]
+        if d:
+            tree_len[k] = seg[k]
+            while k <= m:
+                tree[k] += d
+                k += k & -k
+
+    def argmax(j):
+        i = q = below[j]
+        s = -1.0
+        while q:
+            s += tree[q]
+            q &= q - 1
+        lo, hi = pending
+        if lo <= i:
+            s += seg[lo] - tree_len[lo]
+        if hi != lo and hi <= i:
+            s += seg[hi] - tree_len[hi]
+        return s
+
+    def trim(heap, sign, side, need, s):
+        gain = 0.0
+        while need > 0.0 and heap:
+            k = sign * heap[0]
+            ln = seg[k]
+            if ln <= need:
+                heappop(heap)
+                seg[k] = 0.0
+                sync(k)
+            else:
+                ln = need
+                seg[k] -= need
+                if pending[side] != k:
+                    sync(pending[side])
+                    pending[side] = k
+            if s is not None and s > base[k]:
+                gain += ln * (s - base[k])
+            need -= ln
+        return gain
+
+    seg[rank[0]] = 2.0
+    sync(rank[0])
+    heappush(lows, rank[0])
+    heappush(highs, -rank[0])
+    argmaxes = [0.0] * m
+    trimmed = [0.0] * m     # V_j(-1) = sum(trimmed[:j]) - S_j
+    for j in range(m - 1):
+        argmaxes[j] = argmax(j)
+        k, d = rank[j + 1], dt_l[j]
+        seg[k] = 2.0 * d
+        sync(k)
+        heappush(lows, k)
+        heappush(highs, -k)
+        trimmed[j] = trim(lows, 1, 0, d, S_l[j])
+        trim(highs, -1, 1, d, None)
+    argmaxes[m - 1] = argmax(m - 1)
+    gain = S_l[-1] - P
+    up = gain > 0.0
+    trimmed[-1] = float(np.dot(np.array(seg[1:])[up], gain[up]))
+    return np.clip(argmaxes, -1.0, 1.0).tolist(), math.fsum(trimmed) - S_l[-1]
 
 
 def _random_step_weights(forecasts: np.ndarray, total_variation: float,

@@ -1,11 +1,15 @@
 import csv
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cutoffcal
 from cutoffcal.cli import main
 
 
@@ -64,14 +68,18 @@ def test_audit_schema_and_metrics(empirical_csv, tmp_path, schema):
     cutoff = obj["reports"][0]
     assert cutoff["params"]["delta"] == 0.05
     assert cutoff["params"]["radius"] > 0
+    assert 0 <= obj["reports"][2]["params"]["certificate"] < 1e-12
 
 
 def test_audit_oracle_mode(oracle_csv, tmp_path, schema):
     code, obj = run_json(["audit", str(oracle_csv), "--oracle"], tmp_path)
     assert code == 0
     validate(obj, schema)
-    names = {r["metric_name"] for r in obj["reports"]}
-    assert {"oracle_ece", "oracle_cutoff", "oracle_lipschitz_wce"} <= names
+    by_name = {r["metric_name"]: r for r in obj["reports"]}
+    assert {"oracle_ece", "oracle_cutoff",
+            "oracle_lipschitz_wce"} <= set(by_name)
+    for name in ("lipschitz_wce", "oracle_lipschitz_wce"):
+        assert 0 <= by_name[name]["params"]["certificate"] < 1e-12
 
 
 def test_audit_missing_file_exit_2(tmp_path, capsys):
@@ -136,6 +144,45 @@ def test_decide_schema_and_gaps(oracle_csv, tmp_path, schema):
 
 def test_decide_requires_oracle_column(empirical_csv, capsys):
     assert main(["decide", str(empirical_csv), "--tau", "0.35"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--tau", "2"],
+    ["--tau", "-0.1"],
+    ["--tau", "nan"],
+    ["--tau", "inf"],
+    ["--tau", "0.35", "--ystar", "nan"],
+    ["--tau", "0.35", "--ystar", "1.5"],
+])
+def test_decide_bad_threshold_exit_2(args, oracle_csv, capsys):
+    assert main(["decide", str(oracle_csv)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and in [0, 1]" in captured.err
+
+
+def test_decide_empty_input_exit_2(tmp_path, capsys):
+    p = tmp_path / "empty.csv"
+    p.write_text("forecast,outcome,oracle_mean\n")
+    assert main(["decide", str(p), "--tau", "0.35"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_nan_never_reaches_output(oracle_csv, monkeypatch, capsys):
+    monkeypatch.setattr("cutoffcal.decision.risk_bd", lambda ev: float("nan"))
+    assert main(["decide", str(oracle_csv), "--tau", "0.35"]) == 3
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out
+    assert "not JSON compliant" in captured.err
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, cutoffcal, cutoffcal.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(cutoffcal.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_simulate_csv_deterministic(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutoffcal import (DecisionEvalSet, DiscreteMixture,
+from cutoffcal import (DecisionEvalSet, ValidationError, DiscreteMixture,
                        best_monotone_wrapper_risk, best_wrapper_risk, loss_bd,
                        make_perturbed_constant, risk_bd, risk_gaps, risk_st,
                        schervish_loss)
@@ -131,3 +131,31 @@ def test_schervish_truthful_reporting_not_worse():
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         DiscreteMixture(((0.5, 0.4), (0.7, 0.4)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(tau=1.5),
+    dict(tau=float("nan")),
+    dict(forecasts=[0.2, float("nan")]),
+    dict(forecasts=[0.2, 1.2]),
+    dict(means=[-0.1, 0.5]),
+    dict(means=[0.3, float("inf")]),
+    dict(forecasts=[], means=[]),
+    dict(means=[0.3]),
+    dict(weights=[1.0, -0.5]),
+    dict(weights=[1.0, float("inf")]),
+    dict(weights=[0.0, 0.0]),
+    dict(weights=[1.0]),
+])
+def test_eval_set_rejects_invalid_input(kwargs):
+    args = dict(forecasts=[0.2, 0.8], means=[0.3, 0.6], tau=0.5)
+    with pytest.raises(ValidationError):
+        DecisionEvalSet(**{**args, **kwargs})
+
+
+def test_risk_st_rejects_invalid_input():
+    for ystar in (float("nan"), 1.5):
+        with pytest.raises(ValidationError):
+            risk_st([0.2, 0.8], [0.0, 1.0], ystar)
+    with pytest.raises(ValidationError):
+        risk_st([0.2, 0.8], [0.0, 2.0], 0.5)

@@ -1,7 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from cutoffcal import (ForecastSample, GroupedDataset, SeededRng, binned_ece,
                        bv_wce_lower_bound, cutoff_error,
@@ -179,6 +184,107 @@ def test_lipschitz_weights_feasible_and_consistent():
     assert np.all(np.abs(np.diff(lw.weights)) <= np.diff(data.forecasts) + 1e-9)
     assert lw.objective == pytest.approx(
         float(np.dot(lw.weights, data.residual_sums)) / data.n, abs=1e-12)
+
+
+def highs_wce(forecasts, r):
+    """max r.w over |w| <= 1, |w_{j+1} - w_j| <= dt_j, solved by HiGHS.
+
+    r is scaled to max |r| = 1 and the tolerances are tightened, because
+    HiGHS's default tolerances are absolute (1e-7)."""
+    m, scale = len(r), float(np.max(np.abs(r)))
+    if scale == 0.0:
+        return 0.0
+    dt = np.diff(forecasts)
+    D = sparse.diags([np.ones(m - 1), -np.ones(m - 1)], [0, 1],
+                     shape=(m - 1, m))
+    res = linprog(-r / scale, A_ub=sparse.vstack([D, -D]).tocsc(),
+                  b_ub=np.concatenate([dt, dt]), bounds=(-1.0, 1.0),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun * scale
+
+
+def oracle_case(rng, kind):
+    m = int(np.exp(rng.uniform(np.log(2), np.log(2000))))
+    t = np.unique(rng.random(m) if kind % 2 else np.round(rng.random(m), 3))
+    m = len(t)
+    scale = 10.0 ** rng.uniform(-6, 1)
+    r = rng.normal(0.0, scale, m)
+    if kind == 1:       # integer multiples: many equal partial sums
+        r = np.round(rng.normal(0.0, 2.0, m)) * scale
+    elif kind == 2:
+        r = np.zeros(m)
+    elif kind == 3:
+        r = np.abs(r)
+    elif kind == 4:
+        r = -np.abs(r)
+    elif kind == 5:     # one dominant group
+        r[int(rng.integers(m))] += 1e3 * scale
+    elif kind == 6:     # Bernoulli outcomes minus forecasts
+        r = ((rng.random(m) < t) - t) * scale
+    return GroupedDataset(t, r, np.ones(m), np.zeros(m), n=1.0)
+
+
+def test_lipschitz_wce_matches_highs():
+    rng = np.random.default_rng(4004)
+    for case in range(315):
+        data = oracle_case(rng, case % 7)
+        r = data.residual_sums
+        tol = 1e-9 * max(1.0, float(np.sum(np.abs(r))))
+        lw = lipschitz_wce(data)
+        if len(data) > 1:
+            assert lw.objective == pytest.approx(
+                highs_wce(data.forecasts, r), abs=tol), case
+        assert lw.kkt_residual <= tol * 1e-3, case
+
+
+@st.composite
+def chains(draw):
+    t = draw(st.lists(st.floats(0, 1), min_size=1, max_size=40,
+                      unique=True))
+    r = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+                      | st.floats(-10, 10), min_size=len(t),
+                      max_size=len(t)))
+    return GroupedDataset(sorted(t), r, np.ones(len(t)), np.zeros(len(t)),
+                          n=float(len(t))), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(chains())
+@settings(max_examples=300, deadline=None)
+def test_lipschitz_wce_optimal_among_feasible(case):
+    data, seed = case
+    r = data.residual_sums / data.n
+    dt = np.diff(data.forecasts)
+    lw = lipschitz_wce(data)
+    assert np.all(np.abs(lw.weights) <= 1.0 + 1e-12)
+    assert np.all(np.abs(np.diff(lw.weights)) <= dt + 1e-12)
+    assert lw.objective == float(np.dot(lw.weights, r))
+    tol = 1e-12 * max(1.0, float(np.sum(np.abs(r))))
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        steps = rng.uniform(-dt, dt)
+        w = [rng.uniform(-1.0, 1.0)]
+        for step in steps:
+            w.append(min(1.0, max(-1.0, w[-1] + step)))
+        assert lw.objective >= float(np.dot(w, r)) - tol
+
+
+def test_lipschitz_wce_adversarial_chain_is_fast():
+    # tiny residuals then alternating signs: the argmax sweeps back and
+    # forth over the segments the first half left behind, which made a
+    # two-deque version of the DP quadratic
+    m = 64_000
+    rng = np.random.default_rng(64)
+    r = np.concatenate([rng.normal(0.0, 1e-6, m // 2),
+                        np.where(np.arange(m - m // 2) % 2, 1.0, -1.0)])
+    data = GroupedDataset(np.linspace(0.0, 1.0, m), r, np.ones(m),
+                          np.zeros(m), n=float(m))
+    start = time.perf_counter()
+    lw = lipschitz_wce(data)
+    assert time.perf_counter() - start < 10.0
+    assert lw.kkt_residual < 1e-12
 
 
 def test_bv_lower_bound_sandwich():
