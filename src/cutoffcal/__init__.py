@@ -2,9 +2,8 @@
 calibrators with distribution-free guarantees, two-stage certification, and
 decision-theoretic risk-gap evaluation."""
 
-from .core import (Columns, ForecastSample, GroupedDataset, SeededRng,
-                   ValidationError, group_by_forecast, grouped_from_arrays,
-                   load_columns, load_samples, serialize_samples)
+from .core import (Columns, GroupedDataset, SeededRng, ValidationError,
+                   grouped_from_arrays, load_columns)
 from .metrics import (CutoffEstimate, LipschitzWeights, binned_ece,
                       bv_wce_lower_bound, concentration_radius, cutoff_error,
                       effective_support_size, lipschitz_wce, oracle_ece)

@@ -1,7 +1,7 @@
 """Post-hoc calibrators: isotonic regression, logistic rescaling, and a
 guarded logistic variant that falls back to a constant predictor when the
 recalibrated training data still shows a large interval-supremum error.
-Each fitter takes a Columns or a sequence of ForecastSample.
+Each fitter takes a Columns of per-row forecasts and outcomes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Columns, ValidationError, grouped_from_arrays
+from .core import Columns, ValidationError, _check_unit, grouped_from_arrays
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -29,24 +29,24 @@ class PlattDivergence(RuntimeError):
     """Newton failed to reach the gradient tolerance within the iteration cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibratorMap:
     """A monotone map from forecasts to recalibrated probabilities.
 
-    kind "isotonic": right-continuous step over (input, value) breakpoints,
-    constant beyond the data range. kind "platt": sigmoid(a*z + b).
-    kind "constant": a single value.
+    kind "isotonic": right-continuous step over the (input, value) rows of
+    breakpoints, constant beyond the data range. kind "platt":
+    sigmoid(a*z + b). kind "constant": a single value.
     """
 
     kind: str
-    breakpoints: Optional[tuple] = None     # ((input, value), ...) for isotonic
+    breakpoints: Optional[np.ndarray] = None  # isotonic: (m, 2) float array
     coefficients: Optional[tuple] = None    # (a, b) for platt
     constant_value: Optional[float] = None
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "isotonic":
-            d["breakpoints"] = [list(bp) for bp in self.breakpoints]
+            d["breakpoints"] = self.breakpoints.tolist()
         elif self.kind == "platt":
             d["coefficients"] = {"a": self.coefficients[0],
                                  "b": self.coefficients[1]}
@@ -77,7 +77,7 @@ def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.repeat(means, sizes)
 
 
-def fit_isotonic(samples) -> CalibratorMap:
+def fit_isotonic(cols: Columns) -> CalibratorMap:
     """Least-squares monotone fit of outcomes on forecasts.
 
     Ties are pooled into weighted points, so the fitted map is a function
@@ -85,11 +85,10 @@ def fit_isotonic(samples) -> CalibratorMap:
     Prediction uses a right-continuous step between breakpoints with
     constant extension beyond the data range.
     """
-    cols = Columns.of(samples)
     data = grouped_from_arrays(cols.forecasts, cols.outcomes)
     fitted = _pava(data.outcome_sums / data.counts, data.counts)
-    return CalibratorMap("isotonic", breakpoints=tuple(
-        zip(data.forecasts.tolist(), fitted.tolist())))
+    return CalibratorMap("isotonic",
+                         breakpoints=np.column_stack((data.forecasts, fitted)))
 
 
 def _sigmoid(z):
@@ -155,9 +154,11 @@ def smoothed_targets(outcomes: np.ndarray) -> np.ndarray:
     return outcomes * (s + 1.0) / (s + 2.0) + (1.0 - outcomes) / (f + 2.0)
 
 
-def fit_platt(samples) -> CalibratorMap:
+def fit_platt(cols: Columns) -> CalibratorMap:
     """Logistic rescaling of forecasts with smoothed outcome targets."""
-    t, y, _ = Columns.of(samples)
+    t, y, _ = cols
+    _check_unit("forecasts", t)
+    _check_unit("outcomes", y)
     target = smoothed_targets(y)
     theta, _ = _logistic_fit(t, target, np.ones_like(t))
     return CalibratorMap("platt", coefficients=(float(theta[0]), float(theta[1])))
@@ -177,7 +178,7 @@ def default_epsilon(n: int) -> float:
     return concentration_radius(n, 0.05)
 
 
-def fit_modified_platt(samples,
+def fit_modified_platt(cols: Columns,
                        epsilon_n: Optional[float] = None) -> CalibratorMap:
     """Logistic rescaling guarded by an interval-supremum check.
 
@@ -187,7 +188,6 @@ def fit_modified_platt(samples,
     constant map at the sample mean of the outcomes (whose in-sample scan
     error is zero).
     """
-    cols = Columns.of(samples)
     t, y = cols.forecasts, cols.outcomes
     if epsilon_n is None:
         epsilon_n = default_epsilon(len(t))
@@ -202,8 +202,9 @@ def fit_modified_platt(samples,
 
 
 def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
-    """Evaluate a calibrator map element-wise; outputs stay in [0, 1]."""
+    """Map forecasts in [0, 1] element-wise; outputs stay in [0, 1]."""
     z = np.asarray(forecasts, dtype=float)
+    _check_unit("forecasts", z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if cal.kind == "constant":
@@ -212,7 +213,7 @@ def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
         a, b = cal.coefficients
         out = _sigmoid(a * z + b)
     elif cal.kind == "isotonic":
-        xs, vs = np.array(cal.breakpoints, dtype=float).T
+        xs, vs = cal.breakpoints.T
         idx = np.clip(np.searchsorted(xs, z, side="right") - 1, 0, len(xs) - 1)
         out = vs[idx]
     else:

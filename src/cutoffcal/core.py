@@ -1,7 +1,8 @@
 """Data model and CSV ingestion shared by all metrics and calibrators.
 
-Samples are (forecast, outcome[, oracle_mean]) records with every value in
-[0, 1]. Grouping pools samples with bitwise-equal forecasts, since an
+Per-row data lives in numpy columns (`Columns`): forecast, outcome and,
+in oracle mode, the conditional mean, every value in [0, 1]. Pooling
+merges rows, or weighted atoms, with bitwise-equal forecasts, since an
 interval of forecast values either contains all copies of a value or none.
 """
 
@@ -16,14 +17,10 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "ForecastSample",
     "Columns",
     "GroupedDataset",
     "SeededRng",
     "load_columns",
-    "load_samples",
-    "serialize_samples",
-    "group_by_forecast",
 ]
 
 
@@ -31,21 +28,22 @@ class ValidationError(ValueError):
     """Malformed or out-of-range input data. CLI maps this to exit code 2."""
 
 
-@dataclass(frozen=True)
-class ForecastSample:
-    """One (forecast, outcome) record, optionally carrying E[Y|X]."""
+def _check_unit(name: str, values) -> None:
+    """Raise ValidationError unless every value is in [0, 1] (NaN is not)."""
+    values = np.asarray(values)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValidationError(f"{name} must be finite and in [0, 1]")
 
-    forecast: float
-    outcome: float
-    oracle_mean: Optional[float] = None
 
-    def __post_init__(self):
-        for name in ("forecast", "outcome", "oracle_mean"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} out of [0,1]: {v!r}")
+def _check_weights(name: str, values, shape) -> np.ndarray:
+    """values as a float array; ValidationError unless they are finite,
+    non-negative, one per row of the given shape, with a positive sum."""
+    w = np.asarray(values, dtype=float)
+    if (w.shape != shape or not np.all(np.isfinite(w)) or np.any(w < 0.0)
+            or not np.sum(w) > 0.0):
+        raise ValidationError(f"{name} must be finite, non-negative, one per "
+                              "forecast, with a positive sum")
+    return w
 
 
 @dataclass(frozen=True)
@@ -96,26 +94,15 @@ class GroupedDataset:
     def __len__(self) -> int:
         return len(self.forecasts)
 
-    @property
-    def groups(self):
-        """List of (forecast_value, residual_sum, count, outcome_sum) tuples."""
-        return list(zip(self.forecasts.tolist(), self.residual_sums.tolist(),
-                        self.counts.tolist(), self.outcome_sums.tolist()))
-
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple]) -> "GroupedDataset":
-        """Build from (forecast, conditional_mean, mass) triples.
-
-        Total mass plays the role of n; residuals are mean - forecast.
+        """Pool (forecast, conditional_mean, mass) triples by forecast, with
+        total mass as n and residuals mean - forecast. Forecasts and means
+        must be in [0, 1]; masses are checked like DecisionEvalSet weights.
         """
-        atoms = sorted(atoms)
-        t = np.array([a[0] for a in atoms], dtype=float)
-        mu = np.array([a[1] for a in atoms], dtype=float)
-        w = np.array([a[2] for a in atoms], dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("atom forecasts must be distinct")
-        return cls(t, (mu - t) * w, w, mu * w, n=math.fsum(w),
-                   residual_mode="oracle")
+        t, mu, w = np.array(atoms, dtype=float).reshape(-1, 3).T
+        w = _check_weights("masses", w, t.shape)
+        return _pool(t, mu, None, w, math.fsum(w.tolist()), "oracle")
 
 
 class Columns(NamedTuple):
@@ -124,18 +111,6 @@ class Columns(NamedTuple):
     forecasts: np.ndarray
     outcomes: np.ndarray
     oracle_means: Optional[np.ndarray] = None
-
-    @classmethod
-    def of(cls, samples) -> "Columns":
-        """samples itself if it is a Columns, else its per-row values."""
-        if isinstance(samples, Columns):
-            return samples
-        if not samples:
-            raise ValidationError("empty sample list")
-        means = [s.oracle_mean for s in samples]
-        return cls(np.array([s.forecast for s in samples], dtype=float),
-                   np.array([s.outcome for s in samples], dtype=float),
-                   None if None in means else np.array(means, dtype=float))
 
     def grouped(self, residual_mode: str = "outcome") -> GroupedDataset:
         """Pool by forecast; "oracle" takes residuals from oracle_means."""
@@ -214,57 +189,37 @@ def load_columns(source, mode: str = "empirical") -> Columns:
     return Columns(*np.ascontiguousarray(table.T))
 
 
-def load_samples(source, mode: str = "empirical") -> list[ForecastSample]:
-    """load_columns as one ForecastSample per row (a convenience adapter)."""
-    cols = load_columns(source, mode)
-    rows = zip(*(c.tolist() for c in cols if c is not None))
-    return [ForecastSample(*row) for row in rows]
-
-
-def serialize_samples(samples: Sequence[ForecastSample]) -> str:
-    """Inverse of load_samples, exact to float round-trip precision."""
-    has_oracle = samples[0].oracle_mean is not None
-    header = "forecast,outcome,oracle_mean" if has_oracle else "forecast,outcome"
-    rows = [header]
-    for s in samples:
-        cells = [f"{s.forecast:.17g}", f"{s.outcome:.17g}"]
-        if has_oracle:
-            cells.append(f"{s.oracle_mean:.17g}")
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def group_by_forecast(samples: Sequence[ForecastSample],
-                      residual_mode: str = "outcome") -> GroupedDataset:
-    """Pool samples by bitwise-equal forecast (adapter for Columns.grouped)."""
-    return Columns.of(samples).grouped(residual_mode)
-
-
 def grouped_from_arrays(forecasts, targets, residual_mode="outcome",
                         outcomes=None) -> GroupedDataset:
-    """Pool rows by bitwise-equal forecast: the one tie-pooling routine.
-
-    Residuals are targets - forecasts (targets are outcomes, or conditional
-    means in oracle mode); outcome sums default to target sums. All values
-    must be finite and in [0, 1]. Rows are sorted by (forecast, target,
-    outcome) first, so sums do not depend on input order; np.add.reduceat
-    sums each group pairwise, keeping its error O(eps log n).
+    """Pool rows by bitwise-equal forecast; each row has mass 1 and n is
+    the row count. Residuals are targets - forecasts (targets are outcomes,
+    or conditional means in oracle mode); outcome sums default to target
+    sums. All values must be finite and in [0, 1].
     """
     t = np.asarray(forecasts, dtype=float)
+    return _pool(t, targets, outcomes, np.ones(t.shape), int(t.size),
+                 residual_mode)
+
+
+def _pool(t, targets, outcomes, w, n, residual_mode) -> GroupedDataset:
+    """The one pooling routine: per forecast, the sums of the masses w, of
+    w * (target - t) and of w * outcome. Rows are sorted by (forecast,
+    target, outcome, mass) first, so sums do not depend on input order;
+    np.add.reduceat sums each group pairwise, keeping its error O(eps log n).
+    """
     v = np.asarray(targets, dtype=float)
     y = v if outcomes is None else np.asarray(outcomes, dtype=float)
     for name, a in (("forecasts", t), ("targets", v), ("outcomes", y)):
         if a.ndim != 1 or a.shape != t.shape:
             raise ValidationError(f"{name} must be 1-D and as long as forecasts")
-        if not np.all((a >= 0.0) & (a <= 1.0)):
-            raise ValidationError(f"{name} must be finite and in [0, 1]")
+        _check_unit(name, a)
     if t.size == 0:
         raise ValidationError("empty dataset")
-    order = np.lexsort((v, t) if outcomes is None else (y, v, t))
-    t, v = t[order], v[order]
+    order = np.lexsort((w, v, t) if outcomes is None else (w, y, v, t))
+    t, v, w = t[order], v[order], w[order]
     y = v if outcomes is None else y[order]
     start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    counts = np.diff(np.append(start, t.size)).astype(float)
-    return GroupedDataset(t[start], np.add.reduceat(v - t, start), counts,
-                          np.add.reduceat(y, start), n=int(t.size),
+    return GroupedDataset(t[start], np.add.reduceat((v - t) * w, start),
+                          np.add.reduceat(w, start),
+                          np.add.reduceat(y * w, start), n=n,
                           residual_mode=residual_mode)

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _check_unit, _check_weights
 
 __all__ = [
     "DecisionEvalSet",
@@ -26,13 +26,6 @@ __all__ = [
     "risk_st",
     "schervish_loss",
 ]
-
-
-def _check_unit(name: str, values) -> None:
-    """Raise ValidationError unless every value is in [0, 1] (NaN is not)."""
-    values = np.asarray(values)
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ValidationError(f"{name} must be finite and in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -62,13 +55,8 @@ class DecisionEvalSet:
         if self.weights is None:
             w = np.full(len(t), 1.0 / len(t))
         else:
-            w = np.asarray(self.weights, dtype=float)
-            total = np.sum(w)
-            if (w.shape != t.shape or not np.all(np.isfinite(w))
-                    or np.any(w < 0.0) or not total > 0.0):
-                raise ValidationError("weights must be finite, non-negative, "
-                                      "one per forecast, with a positive sum")
-            w = w / total
+            w = _check_weights("weights", self.weights, t.shape)
+            w = w / np.sum(w)
         object.__setattr__(self, "forecasts", t)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "weights", w)
@@ -169,7 +157,7 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     if weights is None:
         w = np.full(len(t), 1.0 / len(t))
     else:
-        w = np.asarray(weights, dtype=float)
+        w = _check_weights("weights", weights, t.shape)
         w = w / np.sum(w)
     over = (y - ystar) * (t <= ystar) * (y > ystar)
     under = (ystar - y) * (t > ystar) * (y <= ystar)

@@ -160,12 +160,8 @@ def make_perturbed_constant(epsilon: float) -> List[Tuple[float, float, float]]:
 def _rescaled_atoms(forecasts, means, a: float, b: float) -> GroupedDataset:
     """Equal-mass atoms after sigmoid(a*v + b), coincident images pooled."""
     z = _sigmoid(a * np.asarray(forecasts) + b)
-    pooled = {}
-    for zv, q in zip(z.tolist(), means):
-        mass, qsum = pooled.get(zv, (0.0, 0.0))
-        pooled[zv] = (mass + 0.25, qsum + 0.25 * q)
-    atoms = [(zv, qsum / mass, mass) for zv, (mass, qsum) in pooled.items()]
-    return GroupedDataset.from_atoms(atoms)
+    return GroupedDataset.from_atoms([(zv, q, 0.25)
+                                      for zv, q in zip(z.tolist(), means)])
 
 
 def _certified_wce(forecasts, means, a: float, b: float) -> float:

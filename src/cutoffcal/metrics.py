@@ -57,8 +57,11 @@ class CutoffEstimate:
 def _prefix_sums(residual_sums: np.ndarray) -> np.ndarray:
     """Extended-precision prefix sums; prefix[k] = sum of first k groups.
 
-    Accumulating in longdouble keeps absolute error well under 1e-12 for
-    scans over 1e5 groups of bounded residuals.
+    prefix[k] is within (k-1) u sum|r| of exact, u the unit roundoff of
+    longdouble, so the scan value is within (2 m u + eps) sum|r_j| / n of
+    exact (eps = 2^-52). Where longdouble is x87 80-bit (u = 2^-64), that
+    is under 1e-12 for 1e5 groups of rows with residuals in [-1, 1]; where
+    it is double (MSVC, Apple silicon), it is (m + 1) eps sum|r_j| / n.
     """
     out = np.zeros(len(residual_sums) + 1, dtype=np.longdouble)
     np.cumsum(residual_sums.astype(np.longdouble), out=out[1:])
@@ -141,6 +144,12 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
     _chain_argmaxes) followed by a backward pass that clips each stored
     argmax into the window the next weight allows. The cost is
     O(m log m) for m groups on every input.
+
+    Both passes run on forecasts rounded to multiples of 2^-51. For
+    forecasts in [0, 1] every length and weight is then a multiple of
+    2^-51 of at most 4, exact in double, so no rounding accumulates over
+    long chains. The rounding moves each constraint by at most 2^-51 and
+    the optimum by at most 2^-51 sum|r|.
     """
     m = len(data)
     r = data.residual_sums / data.n
@@ -148,7 +157,7 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
         w = np.array([1.0 if r[0] >= 0 else -1.0])
         return LipschitzWeights(w, abs(float(r[0])), 0.0)
 
-    dt = np.diff(data.forecasts)
+    dt = np.diff(np.rint(data.forecasts * 2.0 ** 51)) / 2.0 ** 51
     argmaxes, best = _chain_argmaxes(r, dt)
     w = [argmaxes[-1]]
     for u, d in zip(argmaxes[-2::-1], dt[::-1].tolist()):
@@ -156,7 +165,8 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
         w.append(x - d if u < x - d else x + d if u > x + d else u)
     w = np.array(w[::-1])
     obj = float(np.dot(w, r))
-    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w)) - dt)),
+    exact_dt = np.diff(data.forecasts)
+    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w)) - exact_dt)),
                       float(np.max(np.abs(w)) - 1.0))
     return LipschitzWeights(w, obj, max(primal_viol, abs(obj - best)))
 

@@ -9,14 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from cutoffcal import (DecisionEvalSet, GroupedDataset, SeededRng,
+from cutoffcal import (Columns, DecisionEvalSet, GroupedDataset, SeededRng,
                        best_monotone_wrapper_risk, best_wrapper_risk,
                        bv_wce_lower_bound, certify, cutoff_error, fit_isotonic,
                        grouped_from_arrays, lipschitz_wce,
                        make_perturbed_constant, make_separation_example,
                        make_staircase, oracle_ece, platt_counterexample,
-                       risk_bd, run_simulation, ForecastSample,
-                       SimulationConfig, apply_map)
+                       risk_bd, run_simulation, SimulationConfig, apply_map)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _certified_wce
 from cutoffcal.metrics import _prefix_sums, concentration_radius
@@ -222,8 +221,7 @@ def test_criterion_08_isotonic_holdout():
         t = gen.random(2 * n)
         mu = 0.2 + 0.6 * t ** 2
         y = (gen.random(2 * n) < mu).astype(float)
-        cal = fit_isotonic([ForecastSample(float(a), float(b))
-                            for a, b in zip(t[:n], y[:n])])
+        cal = fit_isotonic(Columns(t[:n], y[:n]))
         z = apply_map(cal, t[n:])
         est = cutoff_error(grouped_from_arrays(z, y[n:])).value
         hits += est <= bound
@@ -262,8 +260,7 @@ def test_criterion_09_isotonic_oracle():
     for _ in range(200):
         n = int(gen.integers(1, 9))
         t, y = gen.random(n), gen.random(n)
-        cal = fit_isotonic([ForecastSample(float(a), float(b))
-                            for a, b in zip(t, y)])
+        cal = fit_isotonic(Columns(t, y))
         fitted = apply_map(cal, np.sort(t))
         worst = max(worst,
                     float(np.max(np.abs(fitted - exhaustive_monotone_lsq(t, y)))))
@@ -274,8 +271,7 @@ def test_criterion_09_isotonic_oracle():
         n = int(gen.integers(2, 40))
         t = np.round(gen.random(n), 1)
         y = gen.random(n)
-        cal = fit_isotonic([ForecastSample(float(a), float(b))
-                            for a, b in zip(t, y)])
+        cal = fit_isotonic(Columns(t, y))
         fitted = apply_map(cal, t)
         for v in np.unique(fitted):
             sel = fitted == v

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from cutoffcal import (ForecastSample, ValidationError, apply_map,
+from cutoffcal import (CalibratorMap, Columns, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
 from cutoffcal.calibrate import (_logistic_fit, _pava, _sigmoid,
                                  smoothed_targets)
 
 
-def make_samples(t, y):
-    return [ForecastSample(float(a), float(b)) for a, b in zip(t, y)]
+def make_columns(t, y):
+    return Columns(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
 
 
 def exhaustive_monotone_lsq(t, y):
@@ -47,19 +47,19 @@ def exhaustive_monotone_lsq(t, y):
 def test_isotonic_no_violators_is_identity_on_points():
     t = [0.1, 0.4, 0.8]
     y = [0.0, 0.5, 1.0]
-    cal = fit_isotonic(make_samples(t, y))
+    cal = fit_isotonic(make_columns(t, y))
     assert np.allclose(apply_map(cal, t), y)
 
 
 def test_isotonic_pools_violators():
-    cal = fit_isotonic(make_samples([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]))
+    cal = fit_isotonic(make_columns([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]))
     fitted = apply_map(cal, [0.1, 0.2, 0.3])
     oracle = exhaustive_monotone_lsq([0.1, 0.2, 0.3], [1.0, 0.0, 0.0])
     assert np.allclose(fitted, oracle, atol=1e-9)
 
 
 def test_isotonic_constant_outcomes():
-    cal = fit_isotonic(make_samples([0.2, 0.5, 0.9], [0.4, 0.4, 0.4]))
+    cal = fit_isotonic(make_columns([0.2, 0.5, 0.9], [0.4, 0.4, 0.4]))
     assert np.allclose(apply_map(cal, [0.0, 0.3, 1.0]), 0.4)
 
 
@@ -69,7 +69,7 @@ def test_isotonic_matches_exhaustive_oracle():
         n = int(rng.integers(1, 9))
         t = rng.random(n)
         y = rng.random(n)
-        cal = fit_isotonic(make_samples(t, y))
+        cal = fit_isotonic(make_columns(t, y))
         fitted = apply_map(cal, np.sort(t))
         assert np.allclose(fitted, exhaustive_monotone_lsq(t, y), atol=1e-9)
 
@@ -81,7 +81,7 @@ def test_isotonic_block_identity():
         n = int(rng.integers(2, 40))
         t = np.round(rng.random(n), 1)  # force ties
         y = rng.random(n)
-        cal = fit_isotonic(make_samples(t, y))
+        cal = fit_isotonic(make_columns(t, y))
         fitted = apply_map(cal, t)
         for v in np.unique(fitted):
             sel = fitted == v
@@ -92,7 +92,7 @@ def test_isotonic_block_identity():
 def test_isotonic_monotone_and_bounded():
     rng = np.random.default_rng(17)
     t, y = rng.random(100), rng.random(100)
-    cal = fit_isotonic(make_samples(t, y))
+    cal = fit_isotonic(make_columns(t, y))
     z = np.linspace(0, 1, 333)
     out = apply_map(cal, z)
     assert np.all(np.diff(out) >= -1e-15)
@@ -100,7 +100,7 @@ def test_isotonic_monotone_and_bounded():
 
 
 def test_isotonic_step_convention():
-    cal = fit_isotonic(make_samples([0.2, 0.8], [0.1, 0.9]))
+    cal = fit_isotonic(make_columns([0.2, 0.8], [0.1, 0.9]))
     # right-continuous step: between breakpoints the left block value holds
     assert apply_map(cal, 0.5) == pytest.approx(0.1)
     assert apply_map(cal, 0.8) == pytest.approx(0.9)
@@ -110,7 +110,7 @@ def test_isotonic_step_convention():
 
 def test_isotonic_empty_raises():
     with pytest.raises(ValidationError):
-        fit_isotonic([])
+        fit_isotonic(make_columns([], []))
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -143,7 +143,7 @@ def test_platt_flat_data_recovers_adjusted_mean():
     t = np.concatenate([rng.random(200), 1 - rng.random(200)[::-1]])
     t = np.concatenate([t, 1 - t])
     y = np.concatenate([y, y])
-    cal = fit_platt(make_samples(t, y))
+    cal = fit_platt(make_columns(t, y))
     a, b = cal.coefficients
     target_mean = float(np.mean(smoothed_targets(y)))
     # 1-D oracle: minimize with slope frozen at zero
@@ -157,7 +157,7 @@ def test_platt_flat_data_recovers_adjusted_mean():
 
 
 def test_platt_separable_stays_finite():
-    cal = fit_platt(make_samples([0.2, 0.8], [0.0, 1.0]))
+    cal = fit_platt(make_columns([0.2, 0.8], [0.0, 1.0]))
     a, b = cal.coefficients
     assert np.isfinite(a) and np.isfinite(b)
     # smoothed targets are exactly {1/3, 2/3} here
@@ -210,7 +210,6 @@ def test_platt_newton_monotone_descent_and_tolerance():
 
 
 def test_apply_constant_and_platt_identity():
-    from cutoffcal import CalibratorMap
     const = CalibratorMap("constant", constant_value=0.42)
     assert apply_map(const, [0.0, 1.0]).tolist() == [0.42, 0.42]
     platt = CalibratorMap("platt", coefficients=(0.0, 0.0))
@@ -223,7 +222,7 @@ def test_modified_platt_keeps_good_fit():
     t = rng.random(n)
     p = _sigmoid(2.5 * t - 1.0)
     y = (rng.random(n) < p).astype(float)
-    cal = fit_modified_platt(make_samples(t, y))
+    cal = fit_modified_platt(make_columns(t, y))
     assert cal.kind == "platt"
 
 
@@ -236,7 +235,7 @@ def test_modified_platt_falls_back_on_counterexample():
     t = np.array([atoms[i][0] for i in idx])
     q = np.array([atoms[i][1] for i in idx])
     y = (rng.random(n) < q).astype(float)
-    cal = fit_modified_platt(make_samples(t, y))
+    cal = fit_modified_platt(make_columns(t, y))
     assert cal.kind == "constant"
     assert cal.constant_value == pytest.approx(float(np.mean(y)))
 
@@ -246,11 +245,10 @@ def test_modified_platt_constant_outcomes():
     # error exactly zero; the logistic branch lands at the smoothed target
     # mean instead, so the returned map is only guaranteed to clear the
     # epsilon_n gate, not to be exactly zero.
-    samples = make_samples(np.linspace(0.1, 0.9, 50), [0.6] * 50)
-    t = np.array([s.forecast for s in samples])
+    samples = make_columns(np.linspace(0.1, 0.9, 50), [0.6] * 50)
+    t = samples.forecasts
     y = np.full(50, 0.6)
 
-    from cutoffcal import CalibratorMap
     const = CalibratorMap("constant", constant_value=float(np.mean(y)))
     data = grouped_from_arrays(apply_map(const, t), y)
     assert cutoff_error(data).value == pytest.approx(0.0, abs=1e-12)
@@ -263,3 +261,43 @@ def test_modified_platt_constant_outcomes():
 def test_default_epsilon_value():
     assert default_epsilon(400) == pytest.approx(
         (20 + math.sqrt(2 * math.log(20))) / 20)
+
+
+def test_isotonic_breakpoints_array_and_dict():
+    rng = np.random.default_rng(23)
+    t, y = np.round(rng.random(200), 2), rng.random(200)
+    cal = fit_isotonic(make_columns(t, y))
+    data = grouped_from_arrays(t, y)
+    assert cal.breakpoints.shape == (len(data), 2)
+    assert cal.breakpoints.dtype == np.float64
+    expected = [[x, v] for x, v in zip(data.forecasts.tolist(),
+                                       apply_map(cal, data.forecasts).tolist())]
+    assert cal.to_dict()["breakpoints"] == expected
+    assert all(type(v) is float for row in cal.to_dict()["breakpoints"]
+               for v in row)
+
+
+MAPS = {
+    "platt": CalibratorMap("platt", coefficients=(1.0, 0.0)),
+    "constant": CalibratorMap("constant", constant_value=0.3),
+    "isotonic": CalibratorMap("isotonic",
+                              breakpoints=np.array([[0.2, 0.1], [0.8, 0.9]])),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.7, math.inf])
+@pytest.mark.parametrize("kind", sorted(MAPS))
+def test_apply_map_rejects_out_of_range(kind, bad):
+    with pytest.raises(ValidationError, match="forecasts"):
+        apply_map(MAPS[kind], [0.5, bad])
+    with pytest.raises(ValidationError, match="forecasts"):
+        apply_map(MAPS[kind], bad)
+
+
+@pytest.mark.parametrize("where", ["forecasts", "outcomes"])
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_platt_rejects_out_of_range(where, bad):
+    cols = {"forecasts": [0.2, 0.5, 0.9], "outcomes": [0.0, 1.0, 1.0]}
+    cols[where][1] = bad
+    with pytest.raises(ValidationError, match=where):
+        fit_platt(make_columns(cols["forecasts"], cols["outcomes"]))

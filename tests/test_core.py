@@ -7,98 +7,117 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoffcal import (ForecastSample, ValidationError, core, group_by_forecast,
-                       grouped_from_arrays, load_columns, load_samples,
-                       serialize_samples)
+from cutoffcal import (Columns, GroupedDataset, ValidationError, core,
+                       grouped_from_arrays, load_columns)
+
+
+def groups(data):
+    """(forecast, residual_sum, count, outcome_sum) per group."""
+    return list(zip(data.forecasts.tolist(), data.residual_sums.tolist(),
+                    data.counts.tolist(), data.outcome_sums.tolist()))
 
 
 def test_load_basic():
-    samples = load_samples(b"forecast,outcome\n0.5,1\n0.2,0\n")
-    assert [(s.forecast, s.outcome) for s in samples] == [(0.5, 1.0), (0.2, 0.0)]
+    cols = load_columns(b"forecast,outcome\n0.5,1\n0.2,0\n")
+    assert list(zip(cols.forecasts.tolist(), cols.outcomes.tolist())) == \
+        [(0.5, 1.0), (0.2, 0.0)]
+    assert cols.oracle_means is None
 
 
 def test_load_out_of_range_reports_line():
     with pytest.raises(ValidationError, match="line 2"):
-        load_samples(b"forecast,outcome\n1.5,0\n")
+        load_columns(b"forecast,outcome\n1.5,0\n")
 
 
 def test_load_oracle_mode():
-    samples = load_samples(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n",
-                           mode="oracle")
-    assert samples == [ForecastSample(0.3, 0.0, 0.25)]
+    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n",
+                        mode="oracle")
+    assert [c.tolist() for c in cols] == [[0.3], [0.0], [0.25]]
 
 
 def test_oracle_mode_missing_column():
     with pytest.raises(ValidationError, match="oracle_mean column absent"):
-        load_samples(b"forecast,outcome\n0.3,0\n", mode="oracle")
+        load_columns(b"forecast,outcome\n0.3,0\n", mode="oracle")
 
 
 def test_load_malformed_row():
     with pytest.raises(ValidationError, match="line 3"):
-        load_samples(b"forecast,outcome\n0.5,1\n0.2\n")
+        load_columns(b"forecast,outcome\n0.5,1\n0.2\n")
 
 
 def test_load_accepts_file_object():
-    samples = load_samples(io.BytesIO(b"forecast,outcome\n0.5,1\n"))
-    assert len(samples) == 1
+    cols = load_columns(io.BytesIO(b"forecast,outcome\n0.5,1\n"))
+    assert len(cols.forecasts) == 1
 
 
 def test_round_trip():
     rng = np.random.default_rng(7)
-    samples = [ForecastSample(float(t), float(y), float(m))
-               for t, y, m in rng.random((50, 3))]
-    again = load_samples(serialize_samples(samples), mode="oracle")
-    for a, b in zip(samples, again):
-        assert a.forecast == pytest.approx(b.forecast, rel=1e-15)
-        assert a.outcome == pytest.approx(b.outcome, rel=1e-15)
-        assert a.oracle_mean == pytest.approx(b.oracle_mean, rel=1e-15)
+    table = rng.random((50, 3))
+    text = "forecast,outcome,oracle_mean\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
+    again = load_columns(text, mode="oracle")
+    assert np.column_stack(again).tobytes() == table.tobytes()
 
 
 def test_group_pools_ties_and_sorts():
-    samples = [ForecastSample(0.5, 1.0), ForecastSample(0.5, 0.0),
-               ForecastSample(0.2, 0.0)]
-    data = group_by_forecast(samples)
-    assert data.groups == [(0.2, pytest.approx(-0.2), 1.0, 0.0),
-                           (0.5, pytest.approx(0.0), 2.0, 1.0)]
+    data = grouped_from_arrays([0.5, 0.5, 0.2], [1.0, 0.0, 0.0])
+    assert groups(data) == [(0.2, pytest.approx(-0.2), 1.0, 0.0),
+                            (0.5, pytest.approx(0.0), 2.0, 1.0)]
     assert data.n == 3
 
 
 def test_group_zero_residual():
-    data = group_by_forecast([ForecastSample(0.3, 0.3)])
-    assert data.groups == [(0.3, 0.0, 1.0, 0.3)]
+    data = grouped_from_arrays([0.3], [0.3])
+    assert groups(data) == [(0.3, 0.0, 1.0, 0.3)]
 
 
 def test_group_oracle_residual():
-    data = group_by_forecast([ForecastSample(0.3, 0.0, 0.25)],
-                             residual_mode="oracle")
-    f, r, c, y = data.groups[0]
+    data = Columns(np.array([0.3]), np.array([0.0]),
+                   np.array([0.25])).grouped("oracle")
+    f, r, c, y = groups(data)[0]
     assert (f, c, y) == (0.3, 1.0, 0.0)
     assert r == pytest.approx(-0.05)
 
 
 def test_group_empty_raises():
     with pytest.raises(ValidationError):
-        group_by_forecast([])
+        grouped_from_arrays([], [])
 
 
 def test_group_oracle_requires_means():
     with pytest.raises(ValidationError, match="oracle_mean"):
-        group_by_forecast([ForecastSample(0.3, 0.0)], residual_mode="oracle")
+        Columns(np.array([0.3]), np.array([0.0])).grouped("oracle")
 
 
-@given(st.lists(st.tuples(st.sampled_from([0.1, 0.25, 0.5, 0.9]),
-                          st.floats(0, 1, allow_nan=False)),
+def same_bits(a, b):
+    return (all(x.tobytes() == y.tobytes() for x, y in (
+        (a.forecasts, b.forecasts), (a.residual_sums, b.residual_sums),
+        (a.counts, b.counts), (a.outcome_sums, b.outcome_sums)))
+        and repr(a.n) == repr(b.n))
+
+
+FORECASTS = st.sampled_from([0.1, 0.25, 0.5, 0.9])
+
+
+@given(st.lists(st.tuples(FORECASTS, st.floats(0, 1)), min_size=1,
+                max_size=30),
+       st.lists(st.tuples(FORECASTS, st.floats(0, 1),
+                          st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 10)),
                 min_size=1, max_size=30),
        st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_group_permutation_invariant(pairs, rnd):
-    samples = [ForecastSample(t, y) for t, y in pairs]
-    shuffled = list(samples)
+def test_group_permutation_invariant(pairs, atoms, rnd):
+    shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    a = group_by_forecast(samples)
-    b = group_by_forecast(shuffled)
-    assert a.groups == b.groups
+    a = grouped_from_arrays(*zip(*pairs))
+    b = grouped_from_arrays(*zip(*shuffled))
+    assert groups(a) == groups(b)
     assert a.n == b.n
+    assert same_bits(a, b)
+    shuffled = list(atoms)
+    rnd.shuffle(shuffled)
+    assert same_bits(GroupedDataset.from_atoms(atoms),
+                     GroupedDataset.from_atoms(shuffled))
 
 
 @given(st.lists(st.tuples(st.floats(0, 1, allow_nan=False),
@@ -106,11 +125,29 @@ def test_group_permutation_invariant(pairs, rnd):
                 min_size=1, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_group_residual_totals_match_raw(pairs):
-    samples = [ForecastSample(t, y) for t, y in pairs]
-    data = group_by_forecast(samples)
+    data = grouped_from_arrays(*zip(*pairs))
     raw = math.fsum(y - t for t, y in pairs)
     assert math.fsum(data.residual_sums.tolist()) == pytest.approx(raw, abs=1e-12)
-    assert float(np.sum(data.counts)) == len(samples)
+    assert float(np.sum(data.counts)) == len(pairs)
+
+
+def test_from_atoms_pools_coincident_forecasts():
+    data = GroupedDataset.from_atoms([(0.5, 0.2, 0.25), (0.1, 0.0, 1.0),
+                                      (0.5, 0.6, 0.75)])
+    assert groups(data) == [
+        (0.1, pytest.approx(-0.1), 1.0, 0.0),
+        (0.5, pytest.approx(0.25 * -0.3 + 0.75 * 0.1), 1.0,
+         pytest.approx(0.25 * 0.2 + 0.75 * 0.6))]
+    assert data.n == 2.0
+    assert data.residual_mode == "oracle"
+
+
+@pytest.mark.parametrize("atom", [(0.5, 1.5, 1.0), (0.5, math.nan, 1.0),
+                                  (0.5, 0.2, -1.0)],
+                         ids=["mean 1.5", "nan mean", "negative mass"])
+def test_from_atoms_rejects_bad_atoms(atom):
+    with pytest.raises(ValidationError):
+        GroupedDataset.from_atoms([(0.2, 0.3, 0.5), atom])
 
 
 def line_parser(text):

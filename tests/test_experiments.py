@@ -9,7 +9,7 @@ from cutoffcal import (GroupedDataset, SimulationConfig, binned_ece,
                        make_separation_example, make_staircase, oracle_ece,
                        platt_counterexample, run_simulation)
 from cutoffcal.calibrate import _sigmoid
-from cutoffcal.experiments import _conditional_mean
+from cutoffcal.experiments import _conditional_mean, _rescaled_atoms
 
 
 def test_staircase_masses_and_golden_cutoff():
@@ -112,6 +112,32 @@ def test_counterexample_self_validates():
     assert float(np.sum(q - z)) == pytest.approx(0.0, abs=1e-7)
     t = np.array([tv for tv, _, _ in atoms])
     assert float(np.sum(t * (q - z))) == pytest.approx(0.0, abs=1e-7)
+
+
+def test_counterexample_values_pinned():
+    # the construction is deterministic; pin its output to 1e-15
+    atoms, (a, b), wce = platt_counterexample()
+    expected = [(0.0, 0.05154470985927151, 0.25),
+                (0.25, 0.7979676247807702, 0.25),
+                (0.5, 0.8157047182944249, 0.25),
+                (1.0, 0.8263232207585449, 0.25)]
+    assert np.max(np.abs(np.subtract(atoms, expected))) <= 1e-15
+    assert abs(a - 3.5892575534681743) <= 1e-15
+    assert abs(b - -0.8208030698742257) <= 1e-15
+    assert abs(wce - 0.021006328875986725) <= 1e-15
+
+
+def test_rescaled_atoms_pool_coincident_images():
+    # sigmoid(a*v + b) saturates to exactly 1.0 for the upper three atoms
+    q = [0.1, 0.2, 0.4, 0.9]
+    data = _rescaled_atoms([0.0, 0.25, 0.5, 1.0], q, 400.0, -50.0)
+    assert data.forecasts[-1] == 1.0 and len(data) == 2
+    assert data.counts.tolist() == [0.25, 0.75]
+    assert data.n == 1.0
+    assert data.outcome_sums[-1] == pytest.approx(0.25 * (0.2 + 0.4 + 0.9),
+                                                  abs=1e-15)
+    assert data.residual_sums[-1] == pytest.approx(
+        0.25 * (0.2 + 0.4 + 0.9) - 0.75, abs=1e-15)
 
 
 def test_counterexample_deterministic():

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from cutoffcal import (ForecastSample, GroupedDataset, SeededRng, binned_ece,
+from cutoffcal import (GroupedDataset, SeededRng, binned_ece,
                        bv_wce_lower_bound, cutoff_error,
-                       effective_support_size, group_by_forecast,
-                       grouped_from_arrays, lipschitz_wce, make_staircase,
-                       oracle_ece)
+                       effective_support_size, grouped_from_arrays,
+                       lipschitz_wce, make_staircase, oracle_ece)
 from cutoffcal.metrics import _prefix_sums
 
 
@@ -43,8 +43,7 @@ def test_cutoff_zero_on_calibrated():
 
 
 def test_cutoff_degenerate_one():
-    samples = [ForecastSample(1.0, 0.0)] * 10
-    est = cutoff_error(group_by_forecast(samples))
+    est = cutoff_error(grouped_from_arrays([1.0] * 10, [0.0] * 10))
     assert est.value == 1.0
     assert est.argmax_interval == (0, 0)
 
@@ -76,6 +75,62 @@ def test_cutoff_scan_equals_enumeration():
         assert cutoff_error(data).value == brute_force_cutoff(data)
 
 
+def exact_cutoff(data):
+    """Fraction brute force: the exact max over all contiguous group ranges
+    of |range sum| / n, and the exact |sum| / n of every range (lo, hi)."""
+    prefix = [Fraction(0)]
+    for r in data.residual_sums.tolist():
+        prefix.append(prefix[-1] + Fraction(r))
+    n = Fraction(data.n)
+    ranges = {(i, j - 1): abs(prefix[j] - prefix[i]) / n
+              for i in range(len(prefix)) for j in range(i + 1, len(prefix))}
+    return max(ranges.values()), ranges
+
+
+@st.composite
+def scan_inputs(draw):
+    r = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-300, 0.1])
+                      | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    n = draw(st.sampled_from([1.0, 3.0]) | st.floats(1e-3, 1e6))
+    m = len(r)
+    return GroupedDataset(np.arange(1, m + 1) / (m + 1), r, np.ones(m),
+                          np.zeros(m), n=n)
+
+
+def check_scan_against_fractions(data):
+    est = cutoff_error(data)
+    best, ranges = exact_cutoff(data)
+    r = data.residual_sums
+    # the _prefix_sums bound where longdouble is plain double, which holds
+    # on every platform, plus the absolute rounding of a subnormal result
+    tol = (Fraction((len(r) + 1) * np.finfo(float).eps)
+           * sum(map(Fraction, np.abs(r).tolist())) / Fraction(data.n)
+           + Fraction(math.ulp(0.0)))
+    assert abs(Fraction(est.value) - best) <= tol
+    if est.argmax_interval is None:
+        assert best <= tol
+    else:
+        assert est.argmax_interval in ranges
+        assert ranges[est.argmax_interval] >= best - tol
+
+
+@given(scan_inputs())
+@settings(max_examples=300, deadline=None)
+def test_cutoff_matches_exact_fractions(data):
+    check_scan_against_fractions(data)
+
+
+@given(scan_inputs())
+@settings(max_examples=100, deadline=None)
+def test_cutoff_matches_exact_fractions_in_double(data):
+    # the scan with double prefix sums, as on platforms without 80-bit
+    # longdouble
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "longdouble", np.float64)
+        assert _prefix_sums(data.residual_sums).dtype == np.float64
+        check_scan_against_fractions(data)
+
+
 def test_cutoff_order_only_invariance():
     # relabeling forecasts monotonically leaves the scan unchanged
     rng = np.random.default_rng(5)
@@ -98,7 +153,7 @@ def test_binned_ece_single_bin_matched_means():
 
 
 def test_binned_ece_degenerate():
-    data = group_by_forecast([ForecastSample(1.0, 0.0)] * 5)
+    data = grouped_from_arrays([1.0] * 5, [0.0] * 5)
     for bins in (1, 3, 10):
         assert binned_ece(data, bins) == pytest.approx(1.0)
 
@@ -287,6 +342,20 @@ def test_lipschitz_wce_adversarial_chain_is_fast():
     assert lw.kkt_residual < 1e-12
 
 
+@pytest.mark.parametrize("m", [50_000, 64_000])
+@pytest.mark.parametrize("kind", ["positive", "sin"])
+def test_lipschitz_wce_certificate_on_long_smooth_chains(kind, m):
+    # a segment worn down over tens of thousands of steps, and tree nodes
+    # summing as many lengths, must not carry a rounding per step
+    t = np.linspace(0.0, 1.0, m)
+    r = (np.full(m, 1.0 / m) if kind == "positive"
+         else np.sin(np.linspace(0.0, 20.0, m)) / m)
+    lw = lipschitz_wce(GroupedDataset(t, r, np.ones(m), np.zeros(m), n=1.0))
+    assert lw.kkt_residual <= 1e-12 * max(1.0, math.fsum(np.abs(r).tolist()))
+    if kind == "positive":
+        assert abs(lw.objective - math.fsum(r.tolist())) <= 1e-12
+
+
 def test_bv_lower_bound_sandwich():
     rng = np.random.default_rng(9)
     for k in range(20):
@@ -311,7 +380,7 @@ def test_bv_lower_bound_rejects_small_tv():
 
 
 def test_effective_support_size():
-    all_equal = group_by_forecast([ForecastSample(0.4, 1.0)] * 7)
+    all_equal = grouped_from_arrays([0.4] * 7, [1.0] * 7)
     assert effective_support_size(all_equal, 0.5) == 1
 
     distinct = grouped_from_arrays(np.linspace(0.1, 0.9, 9), np.zeros(9))
