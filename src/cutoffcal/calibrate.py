@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Columns, ValidationError, _check_unit, grouped_from_arrays
+from .core import (Columns, ValidationError, _check_rows, _check_unit,
+                   grouped_from_arrays)
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -156,9 +157,7 @@ def smoothed_targets(outcomes: np.ndarray) -> np.ndarray:
 
 def fit_platt(cols: Columns) -> CalibratorMap:
     """Logistic rescaling of forecasts with smoothed outcome targets."""
-    t, y, _ = cols
-    _check_unit("forecasts", t)
-    _check_unit("outcomes", y)
+    t, y = _check_rows(cols.forecasts, outcomes=cols.outcomes)
     target = smoothed_targets(y)
     theta, _ = _logistic_fit(t, target, np.ones_like(t))
     return CalibratorMap("platt", coefficients=(float(theta[0]), float(theta[1])))
@@ -188,7 +187,7 @@ def fit_modified_platt(cols: Columns,
     constant map at the sample mean of the outcomes (whose in-sample scan
     error is zero).
     """
-    t, y = cols.forecasts, cols.outcomes
+    t, y = _check_rows(cols.forecasts, outcomes=cols.outcomes)
     if epsilon_n is None:
         epsilon_n = default_epsilon(len(t))
     if not epsilon_n > 0:

@@ -35,6 +35,21 @@ def _check_unit(name: str, values) -> None:
         raise ValidationError(f"{name} must be finite and in [0, 1]")
 
 
+def _check_rows(forecasts, **columns) -> list:
+    """forecasts and the named per-row columns as float arrays;
+    ValidationError unless they are 1-D, equally long, non-empty and in
+    [0, 1]."""
+    arrays = [np.asarray(a, dtype=float)
+              for a in (forecasts, *columns.values())]
+    for name, a in zip(("forecasts", *columns), arrays):
+        if a.ndim != 1 or a.shape != arrays[0].shape:
+            raise ValidationError(f"{name} must be 1-D and as long as forecasts")
+        _check_unit(name, a)
+    if arrays[0].size == 0:
+        raise ValidationError("empty dataset")
+    return arrays
+
+
 def _check_weights(name: str, values, shape) -> np.ndarray:
     """values as a float array; ValidationError unless they are finite,
     non-negative, one per row of the given shape, with a positive sum."""
@@ -207,14 +222,8 @@ def _pool(t, targets, outcomes, w, n, residual_mode) -> GroupedDataset:
     target, outcome, mass) first, so sums do not depend on input order;
     np.add.reduceat sums each group pairwise, keeping its error O(eps log n).
     """
-    v = np.asarray(targets, dtype=float)
-    y = v if outcomes is None else np.asarray(outcomes, dtype=float)
-    for name, a in (("forecasts", t), ("targets", v), ("outcomes", y)):
-        if a.ndim != 1 or a.shape != t.shape:
-            raise ValidationError(f"{name} must be 1-D and as long as forecasts")
-        _check_unit(name, a)
-    if t.size == 0:
-        raise ValidationError("empty dataset")
+    t, v, y = _check_rows(t, targets=targets, outcomes=(
+        targets if outcomes is None else outcomes))
     order = np.lexsort((w, v, t) if outcomes is None else (w, y, v, t))
     t, v, w = t[order], v[order], w[order]
     y = v if outcomes is None else y[order]

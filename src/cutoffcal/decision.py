@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ValidationError, _check_unit, _check_weights
+from .core import _check_rows, _check_unit, _check_weights
 
 __all__ = [
     "DecisionEvalSet",
@@ -44,14 +44,8 @@ class DecisionEvalSet:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        t = np.asarray(self.forecasts, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
         _check_unit(f"tau ({self.tau!r})", self.tau)
-        if t.ndim != 1 or len(t) == 0 or mu.shape != t.shape:
-            raise ValidationError("forecasts and means must be non-empty "
-                                  "arrays of equal length")
-        _check_unit("forecasts", t)
-        _check_unit("means", mu)
+        t, mu = _check_rows(self.forecasts, means=self.means)
         if self.weights is None:
             w = np.full(len(t), 1.0 / len(t))
         else:
@@ -148,12 +142,10 @@ def risk_gaps(ev: DecisionEvalSet) -> Tuple[float, float]:
 
 def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     """Sign-testing risk: penalty |y - ystar| when the forecast sits on the
-    wrong side of ystar. ystar, forecasts and outcomes must be in [0, 1]."""
-    t = np.asarray(forecasts, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    wrong side of ystar. ystar, forecasts and outcomes must be in [0, 1],
+    and forecasts and outcomes non-empty 1-D arrays of equal length."""
     _check_unit(f"ystar ({ystar!r})", ystar)
-    _check_unit("forecasts", t)
-    _check_unit("outcomes", y)
+    t, y = _check_rows(forecasts, outcomes=outcomes)
     if weights is None:
         w = np.full(len(t), 1.0 / len(t))
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,16 +54,20 @@ class CutoffEstimate:
 
 
 def _prefix_sums(residual_sums: np.ndarray) -> np.ndarray:
-    """Extended-precision prefix sums; prefix[k] = sum of first k groups.
+    """Compensated prefix sums; prefix[k] = sum of the first k groups.
 
-    prefix[k] is within (k-1) u sum|r| of exact, u the unit roundoff of
-    longdouble, so the scan value is within (2 m u + eps) sum|r_j| / n of
-    exact (eps = 2^-52). Where longdouble is x87 80-bit (u = 2^-64), that
-    is under 1e-12 for 1e5 groups of rows with residuals in [-1, 1]; where
-    it is double (MSVC, Apple silicon), it is (m + 1) eps sum|r_j| / n.
+    A double cumsum, corrected by a second cumsum of the exact rounding
+    error of each of its additions (TwoSum). prefix[k] is within
+    ulp(S_k) + k^2 eps^2 sum|r| of the exact sum S_k (eps = 2^-52) on any
+    IEEE double platform, so the scan value is within
+    (3 + 2 m^2 eps) eps sum|r_j| / n of exact.
     """
-    out = np.zeros(len(residual_sums) + 1, dtype=np.longdouble)
-    np.cumsum(residual_sums.astype(np.longdouble), out=out[1:])
+    r = np.asarray(residual_sums, dtype=float)
+    s = np.cumsum(r)
+    prev = np.concatenate(([0.0], s[:-1]))
+    b = s - prev
+    out = np.zeros(len(r) + 1)
+    out[1:] = s + np.cumsum((prev - (s - b)) + (r - b))
     return out
 
 
@@ -122,7 +125,7 @@ class LipschitzWeights:
     """Optimal 1-Lipschitz weighting and the attained weighted error.
 
     kkt_residual is the worst of the weights' constraint violation and the
-    gap between the objective r.w and the DP's optimal value.
+    duality gap between r.w and the dual value of the isotonic fit.
     """
 
     weights: np.ndarray
@@ -139,17 +142,20 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
     maximum already equals the two-sided supremum of |sum w_j r_j|/n and is
     always >= 0.
 
-    The constraints form a chain, so the maximum is a forward dynamic
-    program over the concave value function of the last weight (see
-    _chain_argmaxes) followed by a backward pass that clips each stored
-    argmax into the window the next weight allows. The cost is
-    O(m log m) for m groups on every input.
+    The value comes from the LP's dual. Let d_j = t_{j+1} - t_j and
+    S_j = r_0 + ... + r_j, flip r so that S_e = S_{m-1} >= 0, and let
+    c_j = clip(S_j, 0, S_e) for j < m - 1. The maximum is
+    S_e + sum_j d_j |S_j - y_j|, where y is the nondecreasing fit that
+    minimises sum_j d_j |c_j - y_j| (_isotonic_l1): a dual path that leaves
+    the band [0, S_e] or turns back pays 2 and saves at most sum d_j <= 1.
+    The weights follow from complementary slackness (_kkt_weights). The
+    cost is O(m log m) on every input.
 
-    Both passes run on forecasts rounded to multiples of 2^-51. For
-    forecasts in [0, 1] every length and weight is then a multiple of
-    2^-51 of at most 4, exact in double, so no rounding accumulates over
-    long chains. The rounding moves each constraint by at most 2^-51 and
-    the optimum by at most 2^-51 sum|r|.
+    Everything runs on forecasts rounded to multiples of 2^-51. For
+    forecasts in [0, 1] every d_j, every partial sum of +-d_j and every
+    weight is then an exact double, so no rounding accumulates over long
+    chains. The rounding moves each constraint by at most 2^-51 and the
+    optimum by at most 2^-51 sum|r|.
     """
     m = len(data)
     r = data.residual_sums / data.n
@@ -157,118 +163,87 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
         w = np.array([1.0 if r[0] >= 0 else -1.0])
         return LipschitzWeights(w, abs(float(r[0])), 0.0)
 
-    dt = np.diff(np.rint(data.forecasts * 2.0 ** 51)) / 2.0 ** 51
-    argmaxes, best = _chain_argmaxes(r, dt)
-    w = [argmaxes[-1]]
-    for u, d in zip(argmaxes[-2::-1], dt[::-1].tolist()):
-        x = w[-1]
-        w.append(x - d if u < x - d else x + d if u > x + d else u)
-    w = np.array(w[::-1])
-    obj = float(np.dot(w, r))
-    exact_dt = np.diff(data.forecasts)
-    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w)) - exact_dt)),
+    d = np.diff(np.rint(data.forecasts * 2.0 ** 51)) / 2.0 ** 51
+    S = _prefix_sums(r)[1:]
+    sign = -1.0 if S[-1] < 0 else 1.0
+    S, S_e = sign * S[:-1], sign * S[-1]
+    y = _isotonic_l1(np.clip(S, 0.0, S_e), d)
+    w = sign * _kkt_weights(S, S_e, y, d)
+    gap = abs(S_e + _prefix_sums(d * np.abs(S - y))[-1]
+              - _prefix_sums(w * r)[-1])
+    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w))
+                                        - np.diff(data.forecasts))),
                       float(np.max(np.abs(w)) - 1.0))
-    return LipschitzWeights(w, obj, max(primal_viol, abs(obj - best)))
+    return LipschitzWeights(w, float(np.dot(w, r)), max(primal_viol, gap))
 
 
-def _chain_argmaxes(r: np.ndarray, dt: np.ndarray):
-    """Forward pass of the chain DP: argmax_u V_j(u) for every j, and max V.
+def _isotonic_l1(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Nondecreasing y minimising sum_j d_j |c_j - y_j|, with values in c.
 
-    V_0(u) = r_0 u and V_j(u) = r_j u + max_{|v-u| <= dt_{j-1}} V_{j-1}(v)
-    on [-1, 1]. V_j is concave and piecewise linear, kept as segments of
-    length l. A segment has a base P: 0 for the initial segment of length
-    2, and S_j (S = cumsum(r)) for the flat segment of length 2 dt_j that
-    the window step inserts at the argmax after step j. At step j its
-    slope is S_j - P, so segments sit in the order of P, every P is known
-    up front, and the argmax is -1 plus the live length of the segments
-    with P < S_j. Live lengths sit in a Fenwick tree over the ranks of P.
-    The window step also trims dt_j from each end of [-1, 1]; segments are
-    deleted from the lowest and highest live ranks (two heaps), so each is
-    inserted and deleted once and the whole pass is O(m log m).
-
-    The optimum is tracked through V_j(-1) = -S_j plus the value of the
-    pieces trimmed so far from the low end. A trim that leaves a
-    segment partly alive reaches the tree only when that segment stops
-    being the end the trims work on (the `pending` ranks), so a long
-    segment worn down over many steps costs one tree update, not many.
+    Threshold partitioning (Stout, "Isotonic regression via partitioning",
+    Algorithmica 2013): each index keeps a range [lo, hi] of ranks into the
+    sorted distinct values, and indices sharing a range form a run. Each
+    pass solves, on every run, the two-value problem between vals[mid] and
+    vals[mid + 1]: putting a prefix at the lower value costs the prefix
+    sum of h = +d where c > vals[mid] and -d elsewhere, so the cut is the
+    first minimum of that prefix sum (the empty prefix counts as 0). One
+    segmented cumsum serves all runs, and ceil(log2 #distinct) passes fix
+    every rank. The d_j are multiples of 2^-51 summing to at most 1, so
+    every prefix sum is exact.
     """
-    m = len(r)
-    S = _prefix_sums(r)[1:].astype(float)
-    P = np.concatenate([[0.0], S[:-1]])     # bases: initial, then S_0..
-    order = np.argsort(P, kind="stable")
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(1, m + 1)       # 1-based; rank 0 is a dummy
-    P = P[order]
-    below = np.searchsorted(P, S, "left").tolist()  # P < S_j: rank <= below[j]
-    base = [0.0] + P.tolist()
-    S_l, dt_l, rank = S.tolist(), dt.tolist(), rank.tolist()
-    tree = [0.0] * (m + 1)      # Fenwick tree over tree_len
-    tree_len = [0.0] * (m + 1)  # length the tree holds for each rank
-    seg = [0.0] * (m + 1)       # live length of each rank
-    lows, highs = [], []        # heaps of ranks; dead ranks popped lazily
-    pending = [0, 0]            # rank last trimmed at the low and high end
+    vals, rank = np.unique(c, return_inverse=True)
+    n = len(c)
+    idx = np.arange(n)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, len(vals) - 1)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        h = np.where(rank > mid, d, -d)
+        start = np.flatnonzero(np.r_[True, lo[1:] != lo[:-1]])  # runs
+        size = np.diff(np.r_[start, n])
+        cs = np.cumsum(h)
+        prefix = cs - np.repeat(cs[start] - h[start], size)
+        low = np.minimum.reduceat(prefix, start)
+        cut = np.minimum.reduceat(
+            np.where(prefix == np.repeat(low, size), idx, n), start)
+        cut[low >= 0.0] = -1
+        left = (idx <= np.repeat(cut, size)) | (lo == hi)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid + 1)
+    return vals[lo]
 
-    def sync(k):
-        d = seg[k] - tree_len[k]
-        if d:
-            tree_len[k] = seg[k]
-            while k <= m:
-                tree[k] += d
-                k += k & -k
 
-    def argmax(j):
-        i = q = below[j]
-        s = -1.0
-        while q:
-            s += tree[q]
-            q &= q - 1
-        lo, hi = pending
-        if lo <= i:
-            s += seg[lo] - tree_len[lo]
-        if hi != lo and hi <= i:
-            s += seg[hi] - tree_len[hi]
-        return s
+def _kkt_weights(S: np.ndarray, S_e: float, y: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+    """Weights g with r.g = S_e + sum_j d_j |S_j - y_j| (for the flipped r).
 
-    def trim(heap, sign, side, need, s):
-        gain = 0.0
-        while need > 0.0 and heap:
-            k = sign * heap[0]
-            ln = seg[k]
-            if ln <= need:
-                heappop(heap)
-                seg[k] = 0.0
-                sync(k)
-            else:
-                ln = need
-                seg[k] -= need
-                if pending[side] != k:
-                    sync(pending[side])
-                    pending[side] = k
-            if s is not None and s > base[k]:
-                gain += ln * (s - base[k])
-            need -= ln
-        return gain
-
-    seg[rank[0]] = 2.0
-    sync(rank[0])
-    heappush(lows, rank[0])
-    heappush(highs, -rank[0])
-    argmaxes = [0.0] * m
-    trimmed = [0.0] * m     # V_j(-1) = sum(trimmed[:j]) - S_j
-    for j in range(m - 1):
-        argmaxes[j] = argmax(j)
-        k, d = rank[j + 1], dt_l[j]
-        seg[k] = 2.0 * d
-        sync(k)
-        heappush(lows, k)
-        heappush(highs, -k)
-        trimmed[j] = trim(lows, 1, 0, d, S_l[j])
-        trim(highs, -1, 1, d, None)
-    argmaxes[m - 1] = argmax(m - 1)
-    gain = S_l[-1] - P
-    up = gain > 0.0
-    trimmed[-1] = float(np.dot(np.array(seg[1:])[up], gain[up]))
-    return np.clip(argmaxes, -1.0, 1.0).tolist(), math.fsum(trimmed) - S_l[-1]
+    g_{j+1} = g_j + d_j s_j with s_j = sign(y_j - S_j), and g = 1 wherever
+    y steps up (y_{-1} = 0, y_{m-1} = S_e); summation by parts then gives
+    the dual value. A tie y_j = S_j takes s_j = +1 before the first step
+    and -1 after the last; inside a block of equal y between two steps,
+    ties start at -1 and are raised from the right until the block's
+    steps sum to 0. The optimality of y keeps every g in [-1, 1]. With no
+    step at all (S_e = 0, y = 0), g = P - max P for the prefix sums P of
+    d_j s_j. Every entry is an exact multiple of 2^-51.
+    """
+    steps = np.flatnonzero(np.diff(np.r_[0.0, y, S_e]) > 0.0)
+    e = d * np.sign(y - S)
+    if steps.size == 0:
+        P = np.r_[0.0, np.cumsum(e)]
+        return P - P.max()
+    j = np.arange(len(S))
+    tie = y == S
+    e[tie] = np.where(j[tie] < steps[0], d[tie], -d[tie])
+    cap = np.where(tie & (j >= steps[0]) & (j < steps[-1]), 2.0 * d, 0.0)
+    if cap.any():
+        k = np.clip(np.searchsorted(steps, j, side="right"), 1, len(steps) - 1)
+        a, b = steps[k - 1], steps[k]   # block a..b-1 holds j
+        P = np.r_[0.0, np.cumsum(e)]
+        C = np.r_[0.0, np.cumsum(cap)]
+        e += np.clip(P[a] - P[b] - (C[b] - C[j + 1]), 0.0, cap)
+    P = np.r_[0.0, np.cumsum(e)]
+    k = np.searchsorted(steps, np.arange(len(P)), side="right") - 1
+    return 1.0 + P - P[steps[np.maximum(k, 0)]]
 
 
 def _random_step_weights(forecasts: np.ndarray, total_variation: float,

@@ -301,3 +301,14 @@ def test_platt_rejects_out_of_range(where, bad):
     cols[where][1] = bad
     with pytest.raises(ValidationError, match=where):
         fit_platt(make_columns(cols["forecasts"], cols["outcomes"]))
+
+
+@pytest.mark.parametrize("fit", [fit_platt, fit_modified_platt])
+@pytest.mark.parametrize("t, y, match", [
+    ([0.2, 0.5], [0.0], "outcomes"),
+    ([], [], "empty"),
+    ([[0.2, 0.5], [0.6, 0.9]], [[0.0, 1.0], [1.0, 1.0]], "1-D"),
+], ids=["length mismatch", "empty", "2-D"])
+def test_platt_rejects_malformed_columns(fit, t, y, match):
+    with pytest.raises(ValidationError, match=match):
+        fit(make_columns(t, y))

@@ -159,6 +159,10 @@ def test_risk_st_rejects_invalid_input():
             risk_st([0.2, 0.8], [0.0, 1.0], ystar)
     with pytest.raises(ValidationError):
         risk_st([0.2, 0.8], [0.0, 2.0], 0.5)
+    with pytest.raises(ValidationError, match="outcomes"):
+        risk_st([0.2, 0.8], [0.0], 0.5)
+    with pytest.raises(ValidationError, match="empty"):
+        risk_st([], [], 0.5)
 
 
 @pytest.mark.parametrize("weights", [[1.0, -0.5], [1.0, float("nan")],

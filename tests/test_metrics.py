@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ def check_scan_against_fractions(data):
     est = cutoff_error(data)
     best, ranges = exact_cutoff(data)
     r = data.residual_sums
-    # the _prefix_sums bound where longdouble is plain double, which holds
-    # on every platform, plus the absolute rounding of a subnormal result
+    # a bound above the scan's (3 + 2 m^2 eps) eps sum|r| / n, plus the
+    # absolute rounding of a subnormal result
     tol = (Fraction((len(r) + 1) * np.finfo(float).eps)
            * sum(map(Fraction, np.abs(r).tolist())) / Fraction(data.n)
            + Fraction(math.ulp(0.0)))
@@ -120,15 +121,34 @@ def test_cutoff_matches_exact_fractions(data):
     check_scan_against_fractions(data)
 
 
-@given(scan_inputs())
-@settings(max_examples=100, deadline=None)
-def test_cutoff_matches_exact_fractions_in_double(data):
-    # the scan with double prefix sums, as on platforms without 80-bit
-    # longdouble
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "longdouble", np.float64)
-        assert _prefix_sums(data.residual_sums).dtype == np.float64
-        check_scan_against_fractions(data)
+def check_prefix_sums_against_fractions(r):
+    """Every compensated prefix sum is within ulp(S_k) + k^2 eps^2 sum|r|
+    of the exact prefix sum S_k."""
+    got = _prefix_sums(r).tolist()
+    assert got[0] == 0.0
+    slack = Fraction(np.finfo(float).eps) ** 2 * sum(
+        map(Fraction, np.abs(r).tolist()))
+    exact = Fraction(0)
+    for k, x in enumerate(r.tolist(), start=1):
+        exact += Fraction(x)
+        tol = Fraction(math.ulp(float(exact))) + k * k * slack
+        assert abs(Fraction(got[k]) - exact) <= tol, k
+
+
+@given(st.lists(st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.1, 1e-300])
+                | st.floats(-1e6, 1e6), min_size=1, max_size=60))
+@settings(max_examples=500, deadline=None)
+def test_prefix_sums_match_exact_fractions(r):
+    check_prefix_sums_against_fractions(np.array(r))
+
+
+@pytest.mark.parametrize("kind", ["constant", "normal"])
+def test_prefix_sums_match_exact_fractions_on_long_inputs(kind):
+    # 1e5 equal residuals of 1e-5, where 80-bit extended prefix sums are
+    # 1.2e-15 off, and 2e4 residuals of both signs
+    r = (np.full(100_000, 1e-5) if kind == "constant"
+         else np.random.default_rng(17).normal(0.0, 1.0, 20_000))
+    check_prefix_sums_against_fractions(r)
 
 
 def test_cutoff_order_only_invariance():
@@ -261,6 +281,107 @@ def highs_wce(forecasts, r):
     return -res.fun * scale
 
 
+def chain_dp_wce(data):
+    """sum_j w_j r_j / n for the weights of an exact primal chain DP, an
+    oracle independent of the dual and fast enough for long chains.
+
+    V_0(u) = r_0 u and V_j(u) = r_j u + max_{|v-u| <= dt_{j-1}} V_{j-1}(v)
+    on [-1, 1], on forecasts rounded to multiples of 2^-51 as in
+    lipschitz_wce. V_j is concave and piecewise linear, kept as segments of
+    length l. A segment has a base P: 0 for the initial segment of length
+    2, and S_j (S = cumsum(r)) for the flat segment of length 2 dt_j that
+    the window step inserts at the argmax after step j. At step j its
+    slope is S_j - P, so segments sit in the order of P, every P is known
+    up front, and the argmax is -1 plus the live length of the segments
+    with P < S_j. Live lengths sit in a Fenwick tree over the ranks of P.
+    The window step also trims dt_j from each end of [-1, 1]; segments are
+    deleted from the lowest and highest live ranks (two heaps), so each is
+    inserted and deleted once and the pass is O(m log m). A trim that
+    leaves a segment partly alive reaches the tree only when that segment
+    stops being the end the trims work on (the `pending` ranks). A
+    backward pass clips each argmax into the window the next weight allows.
+    """
+    r = data.residual_sums / data.n
+    m = len(r)
+    if m == 1:
+        return abs(float(r[0]))
+    dt = np.diff(np.rint(data.forecasts * 2.0 ** 51)) / 2.0 ** 51
+    S = _prefix_sums(r)[1:]
+    P = np.concatenate([[0.0], S[:-1]])     # bases: initial, then S_0..
+    order = np.argsort(P, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(1, m + 1)       # 1-based; rank 0 is a dummy
+    below = np.searchsorted(P[order], S, "left").tolist()
+    dt_l, rank = dt.tolist(), rank.tolist()
+    tree = [0.0] * (m + 1)      # Fenwick tree over tree_len
+    tree_len = [0.0] * (m + 1)  # length the tree holds for each rank
+    seg = [0.0] * (m + 1)       # live length of each rank
+    lows, highs = [], []        # heaps of ranks; dead ranks popped lazily
+    pending = [0, 0]            # rank last trimmed at the low and high end
+
+    def sync(k):
+        d = seg[k] - tree_len[k]
+        if d:
+            tree_len[k] = seg[k]
+            while k <= m:
+                tree[k] += d
+                k += k & -k
+
+    def argmax(j):
+        i = q = below[j]
+        s = -1.0
+        while q:
+            s += tree[q]
+            q &= q - 1
+        lo, hi = pending
+        if lo <= i:
+            s += seg[lo] - tree_len[lo]
+        if hi != lo and hi <= i:
+            s += seg[hi] - tree_len[hi]
+        return min(1.0, max(-1.0, s))
+
+    def trim(heap, sign, side, need):
+        while need > 0.0 and heap:
+            k = sign * heap[0]
+            if seg[k] <= need:
+                heappop(heap)
+                need -= seg[k]
+                seg[k] = 0.0
+                sync(k)
+            else:
+                seg[k] -= need
+                need = 0.0
+                if pending[side] != k:
+                    sync(pending[side])
+                    pending[side] = k
+
+    seg[rank[0]] = 2.0
+    sync(rank[0])
+    heappush(lows, rank[0])
+    heappush(highs, -rank[0])
+    argmaxes = []
+    for j in range(m - 1):
+        argmaxes.append(argmax(j))
+        k, d = rank[j + 1], dt_l[j]
+        seg[k] = 2.0 * d
+        sync(k)
+        heappush(lows, k)
+        heappush(highs, -k)
+        trim(lows, 1, 0, d)
+        trim(highs, -1, 1, d)
+    w = [argmax(m - 1)]
+    for u, d in zip(argmaxes[::-1], dt_l[::-1]):
+        x = w[-1]
+        w.append(x - d if u < x - d else x + d if u > x + d else u)
+    return float(np.dot(w[::-1], r))
+
+
+def assert_matches_chain_dp(lw, data):
+    r = data.residual_sums / data.n
+    tol = 1e-12 * max(1.0, float(np.sum(np.abs(r))))
+    assert abs(lw.objective - chain_dp_wce(data)) <= tol
+
+
 def oracle_case(rng, kind):
     m = int(np.exp(rng.uniform(np.log(2), np.log(2000))))
     t = np.unique(rng.random(m) if kind % 2 else np.round(rng.random(m), 3))
@@ -293,6 +414,7 @@ def test_lipschitz_wce_matches_highs():
             assert lw.objective == pytest.approx(
                 highs_wce(data.forecasts, r), abs=tol), case
         assert lw.kkt_residual <= tol * 1e-3, case
+        assert_matches_chain_dp(lw, data)
 
 
 @st.composite
@@ -327,9 +449,10 @@ def test_lipschitz_wce_optimal_among_feasible(case):
 
 
 def test_lipschitz_wce_adversarial_chain_is_fast():
-    # tiny residuals then alternating signs: the argmax sweeps back and
-    # forth over the segments the first half left behind, which made a
-    # two-deque version of the DP quadratic
+    # tiny residuals then alternating signs: near-ties among the first
+    # half's prefix sums, then a dual fit that must cut the long second
+    # half into many short blocks; a primal DP that kept its segments in
+    # two deques went quadratic here
     m = 64_000
     rng = np.random.default_rng(64)
     r = np.concatenate([rng.normal(0.0, 1e-6, m // 2),
@@ -340,20 +463,32 @@ def test_lipschitz_wce_adversarial_chain_is_fast():
     lw = lipschitz_wce(data)
     assert time.perf_counter() - start < 10.0
     assert lw.kkt_residual < 1e-12
+    assert_matches_chain_dp(lw, data)
 
 
 @pytest.mark.parametrize("m", [50_000, 64_000])
 @pytest.mark.parametrize("kind", ["positive", "sin"])
 def test_lipschitz_wce_certificate_on_long_smooth_chains(kind, m):
-    # a segment worn down over tens of thousands of steps, and tree nodes
-    # summing as many lengths, must not carry a rounding per step
+    # tens of thousands of steps of the dual path and of its weights must
+    # not carry a rounding per step
     t = np.linspace(0.0, 1.0, m)
     r = (np.full(m, 1.0 / m) if kind == "positive"
          else np.sin(np.linspace(0.0, 20.0, m)) / m)
-    lw = lipschitz_wce(GroupedDataset(t, r, np.ones(m), np.zeros(m), n=1.0))
+    data = GroupedDataset(t, r, np.ones(m), np.zeros(m), n=1.0)
+    lw = lipschitz_wce(data)
     assert lw.kkt_residual <= 1e-12 * max(1.0, math.fsum(np.abs(r).tolist()))
     if kind == "positive":
         assert abs(lw.objective - math.fsum(r.tolist())) <= 1e-12
+    assert_matches_chain_dp(lw, data)
+
+
+def test_lipschitz_wce_certificate_on_equal_residuals():
+    # 1e5 equal residuals: r.w by np.dot is off by 3.1e-14, so the gap
+    # is taken against exact sums
+    m = 100_000
+    data = GroupedDataset(np.linspace(0.0, 1.0, m), np.full(m, 1e-5),
+                          np.ones(m), np.zeros(m), n=1.0)
+    assert lipschitz_wce(data).kkt_residual <= 2e-15
 
 
 def test_bv_lower_bound_sandwich():
