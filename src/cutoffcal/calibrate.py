@@ -87,7 +87,7 @@ def fit_isotonic(cols: Columns) -> CalibratorMap:
     constant extension beyond the data range.
     """
     data = grouped_from_arrays(cols.forecasts, cols.outcomes)
-    fitted = _pava(data.outcome_sums / data.counts, data.counts)
+    fitted = _pava(data.target_sums / data.counts, data.counts)
     return CalibratorMap("isotonic",
                          breakpoints=np.column_stack((data.forecasts, fitted)))
 

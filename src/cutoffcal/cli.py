@@ -6,7 +6,6 @@ exit codes 0 (ok), 2 (input error), 3 (internal error).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import traceback
@@ -46,8 +45,8 @@ def _read_columns(path, mode="empirical"):
         return load_columns(fh, mode=mode)
 
 
-def _emit(obj, out_path: Optional[str]):
-    text = json.dumps(obj, indent=2, allow_nan=False)
+def _write(text: str, out_path: Optional[str]):
+    """text and a final newline, to out_path or else to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -55,10 +54,14 @@ def _emit(obj, out_path: Optional[str]):
         print(text)
 
 
+def _emit(obj, out_path: Optional[str]):
+    _write(json.dumps(obj, indent=2, allow_nan=False), out_path)
+
+
 def cmd_audit(args) -> int:
     mode = "oracle" if args.oracle else "empirical"
     cols = _read_columns(args.input, mode=mode)
-    data = cols.grouped()
+    data = grouped_from_arrays(cols.forecasts, cols.outcomes)
     est = met.cutoff_error(data)
     reports = [
         _metric_report("cutoff", est.value, data.n,
@@ -70,7 +73,7 @@ def cmd_audit(args) -> int:
         _lipschitz_report("lipschitz_wce", data),
     ]
     if args.oracle:
-        odata = cols.grouped("oracle")
+        odata = grouped_from_arrays(cols.forecasts, cols.oracle_means)
         oest = met.cutoff_error(odata)
         reports += [
             _metric_report("oracle_ece", met.oracle_ece(odata), odata.n),
@@ -136,16 +139,9 @@ def cmd_simulate(args) -> int:
                                   master_seed=args.seed)
     records = exp.run_simulation(config)
     fields = exp.SimulationRunRecord.FIELDS
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for rec in records:
-                writer.writerow([getattr(rec, f) for f in fields])
-    else:
-        print(",".join(fields))
-        for rec in records:
-            print(",".join(str(getattr(rec, f)) for f in fields))
+    rows = [fields] + [[str(getattr(rec, f)) for f in fields]
+                       for rec in records]
+    _write("\n".join(map(",".join, rows)), args.out)
     return EXIT_OK
 
 

@@ -77,30 +77,24 @@ class SeededRng:
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         )
 
-    def child(self, stream_id: int) -> "SeededRng":
-        return SeededRng(self.seed, stream_id)
-
 
 class GroupedDataset:
     """Samples pooled by bitwise-equal forecast value, sorted ascending.
 
-    Per group we keep the forecast value, the (compensated) residual sum
-    over members, the total weight, and the outcome sum. Weights are sample
-    counts for empirical data but may be fractional masses for analytic
-    atom constructions.
+    Per group we keep the forecast value and, over its members, the sums
+    of w * (target - forecast), of the masses w and of w * target. Targets
+    are outcomes or conditional means; masses are sample counts for rows
+    but may be fractional for analytic atoms. n is the total mass.
     """
 
-    __slots__ = ("forecasts", "residual_sums", "counts", "outcome_sums", "n",
-                 "residual_mode")
+    __slots__ = ("forecasts", "residual_sums", "counts", "target_sums", "n")
 
-    def __init__(self, forecasts, residual_sums, counts, outcome_sums, n,
-                 residual_mode="outcome"):
+    def __init__(self, forecasts, residual_sums, counts, target_sums, n):
         self.forecasts = np.asarray(forecasts, dtype=float)
         self.residual_sums = np.asarray(residual_sums, dtype=float)
         self.counts = np.asarray(counts, dtype=float)
-        self.outcome_sums = np.asarray(outcome_sums, dtype=float)
+        self.target_sums = np.asarray(target_sums, dtype=float)
         self.n = n
-        self.residual_mode = residual_mode
         if len(self.forecasts) == 0:
             raise ValidationError("empty dataset")
         if np.any(np.diff(self.forecasts) <= 0):
@@ -117,7 +111,7 @@ class GroupedDataset:
         """
         t, mu, w = np.array(atoms, dtype=float).reshape(-1, 3).T
         w = _check_weights("masses", w, t.shape)
-        return _pool(t, mu, None, w, math.fsum(w.tolist()), "oracle")
+        return _pool(t, mu, w, math.fsum(w.tolist()))
 
 
 class Columns(NamedTuple):
@@ -126,17 +120,6 @@ class Columns(NamedTuple):
     forecasts: np.ndarray
     outcomes: np.ndarray
     oracle_means: Optional[np.ndarray] = None
-
-    def grouped(self, residual_mode: str = "outcome") -> GroupedDataset:
-        """Pool by forecast; "oracle" takes residuals from oracle_means."""
-        if residual_mode == "outcome":
-            return grouped_from_arrays(self.forecasts, self.outcomes)
-        if residual_mode != "oracle":
-            raise ValueError(f"unknown residual_mode: {residual_mode!r}")
-        if self.oracle_means is None:
-            raise ValidationError("missing oracle_mean in oracle mode")
-        return grouped_from_arrays(self.forecasts, self.oracle_means,
-                                   "oracle", outcomes=self.outcomes)
 
 
 def _parse_header(line: str, mode: str) -> bool:
@@ -204,31 +187,26 @@ def load_columns(source, mode: str = "empirical") -> Columns:
     return Columns(*np.ascontiguousarray(table.T))
 
 
-def grouped_from_arrays(forecasts, targets, residual_mode="outcome",
-                        outcomes=None) -> GroupedDataset:
+def grouped_from_arrays(forecasts, targets) -> GroupedDataset:
     """Pool rows by bitwise-equal forecast; each row has mass 1 and n is
-    the row count. Residuals are targets - forecasts (targets are outcomes,
-    or conditional means in oracle mode); outcome sums default to target
-    sums. All values must be finite and in [0, 1].
+    the row count. Residuals are targets - forecasts, with targets the
+    outcomes or the conditional means. All values must be finite and in
+    [0, 1].
     """
     t = np.asarray(forecasts, dtype=float)
-    return _pool(t, targets, outcomes, np.ones(t.shape), int(t.size),
-                 residual_mode)
+    return _pool(t, targets, np.ones(t.shape), int(t.size))
 
 
-def _pool(t, targets, outcomes, w, n, residual_mode) -> GroupedDataset:
+def _pool(t, targets, w, n) -> GroupedDataset:
     """The one pooling routine: per forecast, the sums of the masses w, of
-    w * (target - t) and of w * outcome. Rows are sorted by (forecast,
-    target, outcome, mass) first, so sums do not depend on input order;
+    w * (target - t) and of w * target. Rows are sorted by (forecast,
+    target, mass) first, so sums do not depend on input order;
     np.add.reduceat sums each group pairwise, keeping its error O(eps log n).
     """
-    t, v, y = _check_rows(t, targets=targets, outcomes=(
-        targets if outcomes is None else outcomes))
-    order = np.lexsort((w, v, t) if outcomes is None else (w, y, v, t))
+    t, v = _check_rows(t, targets=targets)
+    order = np.lexsort((w, v, t))
     t, v, w = t[order], v[order], w[order]
-    y = v if outcomes is None else y[order]
     start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
     return GroupedDataset(t[start], np.add.reduceat((v - t) * w, start),
                           np.add.reduceat(w, start),
-                          np.add.reduceat(y * w, start), n=n,
-                          residual_mode=residual_mode)
+                          np.add.reduceat(v * w, start), n=n)

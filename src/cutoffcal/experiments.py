@@ -9,7 +9,7 @@ the perturbed constant forecast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -91,7 +91,7 @@ def _one_run(config: SimulationConfig,
     mu = _conditional_mean(x_eval, alpha)
     f = _sigmoid(theta[0] * x_eval + theta[1])
 
-    data = grouped_from_arrays(f, mu, residual_mode="oracle")
+    data = grouped_from_arrays(f, mu)
     cutoff = cutoff_error(data).value
     ece = oracle_ece(data)
     wce = lipschitz_wce(data).objective

@@ -91,7 +91,9 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     """ECE of the equal-width binned approximation to the forecasts.
 
     Bins are [0, 1/N], (1/N, 2/N], ..., ((N-1)/N, 1]. Returned is
-    sum_b (n_b/n) |ybar_b - tbar_b| with within-bin weighted means.
+    sum_b (n_b/n) |ybar_b - tbar_b| with within-bin weighted means, that
+    is (1/n) sum_b |residual sum of bin b|. Only the occupied bins are
+    formed, so memory is O(m) for any N.
 
     Caveat: this measures the calibration of the *binned* forecast; it can
     be near zero while the unbinned forecast has a large interval-supremum
@@ -99,24 +101,19 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     """
     if num_bins < 1:
         raise ValidationError("num_bins must be >= 1")
-    idx = np.ceil(data.forecasts * num_bins).astype(int)
-    idx = np.clip(idx, 1, num_bins) - 1
-    w = np.bincount(idx, weights=data.counts, minlength=num_bins)
-    ysum = np.bincount(idx, weights=data.outcome_sums, minlength=num_bins)
-    tsum = np.bincount(idx, weights=data.forecasts * data.counts,
-                       minlength=num_bins)
-    mask = w > 0
-    return float(np.sum(np.abs(ysum[mask] - tsum[mask])) / data.n)
+    # sorted groups fall into nondecreasing bins: sum each bin's run
+    b = np.clip(np.ceil(data.forecasts * num_bins), 1, num_bins)
+    start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    gaps = np.add.reduceat(data.residual_sums, start)
+    return float(np.sum(np.abs(gaps)) / data.n)
 
 
 def oracle_ece(data: GroupedDataset) -> float:
-    """Mean absolute residual; requires oracle (conditional-mean) residuals.
+    """Mean absolute residual (1/n) sum_i |mu_i - t_i|.
 
-    With one group per distinct forecast and residual sums built from
-    E[Y|X], this is (1/n) sum_i |mu_i - t_i|.
+    This is the oracle ECE when the targets are the conditional means
+    E[Y|X]; on outcomes it is the ECE with one bin per distinct forecast.
     """
-    if data.residual_mode != "oracle":
-        raise ValueError("oracle_ece requires oracle-mode data")
     return float(np.sum(np.abs(data.residual_sums)) / data.n)
 
 
@@ -286,8 +283,12 @@ def bv_wce_lower_bound(data: GroupedDataset, total_variation: float,
 
 
 def effective_support_size(data: GroupedDataset, gamma: float) -> int:
-    """Smallest k with the k heaviest forecast atoms covering mass 1-gamma."""
+    """Smallest k with the k heaviest forecast atoms covering mass 1-gamma,
+    for gamma in [0, 1)."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
     masses = np.sort(data.counts)[::-1]
     target = (1.0 - gamma) * data.n - 1e-12
     cum = np.cumsum(masses)
-    return int(np.searchsorted(cum, target) + 1)
+    # all m atoms cover the whole mass even where cum[-1] rounds below n
+    return min(int(np.searchsorted(cum, target) + 1), len(masses))

@@ -125,8 +125,7 @@ def test_criterion_05_bv_sandwich():
     for k in range(100):
         m = int(gen.integers(1, 40))
         t = np.unique(np.round(gen.random(m), 3))
-        data = grouped_from_arrays(t, gen.random(len(t)),
-                                   residual_mode="oracle")
+        data = grouped_from_arrays(t, gen.random(len(t)))
         cut = cutoff_error(data).value
         for M in (2.0, 4.0):
             lb = bv_wce_lower_bound(data, M, SeededRng(5005, k),
@@ -168,7 +167,7 @@ def test_criterion_07_certification_guarantee():
     def true_delta(model, mu_of_x):
         f = np.broadcast_to(np.asarray(model(grid), dtype=float),
                             grid.shape)
-        data = grouped_from_arrays(f, mu_of_x(grid), residual_mode="oracle")
+        data = grouped_from_arrays(f, mu_of_x(grid))
         return cutoff_error(data).value
 
     def adversarial(train_cov, train_y):
@@ -320,8 +319,7 @@ def test_criterion_11_lp_certified():
     for _ in range(100):
         m = int(gen.integers(1, 7))
         t = np.unique(np.round(gen.random(m), 3))
-        data = grouped_from_arrays(t, gen.random(len(t)),
-                                   residual_mode="oracle")
+        data = grouped_from_arrays(t, gen.random(len(t)))
         lw = lipschitz_wce(data)
         grid = grid_search_wce(data)
         ok &= grid - 1e-9 <= lw.objective <= grid + 0.025

@@ -198,6 +198,13 @@ def test_simulate_csv_deterministic(tmp_path):
     assert float(rows[0]["gap"]) >= -1e-12
 
 
+def test_simulate_file_and_stdout_bytes_agree(tmp_path, capsysbinary):
+    args = ["simulate", "--runs", "2", "--n-train", "100", "--n-eval", "200"]
+    assert main(args + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert main(args) == 0
+    assert (tmp_path / "s.csv").read_bytes() == capsysbinary.readouterr().out
+
+
 def test_counterexample_schema_and_certificate(tmp_path, schema):
     code, obj = run_json(["counterexample-platt"], tmp_path)
     assert code == 0

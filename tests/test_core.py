@@ -12,9 +12,9 @@ from cutoffcal import (Columns, GroupedDataset, ValidationError, core,
 
 
 def groups(data):
-    """(forecast, residual_sum, count, outcome_sum) per group."""
+    """(forecast, residual_sum, count, target_sum) per group."""
     return list(zip(data.forecasts.tolist(), data.residual_sums.tolist(),
-                    data.counts.tolist(), data.outcome_sums.tolist()))
+                    data.counts.tolist(), data.target_sums.tolist()))
 
 
 def test_load_basic():
@@ -72,10 +72,11 @@ def test_group_zero_residual():
 
 
 def test_group_oracle_residual():
-    data = Columns(np.array([0.3]), np.array([0.0]),
-                   np.array([0.25])).grouped("oracle")
-    f, r, c, y = groups(data)[0]
-    assert (f, c, y) == (0.3, 1.0, 0.0)
+    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n",
+                        mode="oracle")
+    data = grouped_from_arrays(cols.forecasts, cols.oracle_means)
+    f, r, c, v = groups(data)[0]
+    assert (f, c, v) == (0.3, 1.0, 0.25)
     assert r == pytest.approx(-0.05)
 
 
@@ -85,14 +86,15 @@ def test_group_empty_raises():
 
 
 def test_group_oracle_requires_means():
-    with pytest.raises(ValidationError, match="oracle_mean"):
-        Columns(np.array([0.3]), np.array([0.0])).grouped("oracle")
+    cols = Columns(np.array([0.3]), np.array([0.0]))
+    with pytest.raises(ValidationError, match="targets"):
+        grouped_from_arrays(cols.forecasts, cols.oracle_means)
 
 
 def same_bits(a, b):
     return (all(x.tobytes() == y.tobytes() for x, y in (
         (a.forecasts, b.forecasts), (a.residual_sums, b.residual_sums),
-        (a.counts, b.counts), (a.outcome_sums, b.outcome_sums)))
+        (a.counts, b.counts), (a.target_sums, b.target_sums)))
         and repr(a.n) == repr(b.n))
 
 
@@ -139,7 +141,6 @@ def test_from_atoms_pools_coincident_forecasts():
         (0.5, pytest.approx(0.25 * -0.3 + 0.75 * 0.1), 1.0,
          pytest.approx(0.25 * 0.2 + 0.75 * 0.6))]
     assert data.n == 2.0
-    assert data.residual_mode == "oracle"
 
 
 @pytest.mark.parametrize("atom", [(0.5, 1.5, 1.0), (0.5, math.nan, 1.0),
@@ -221,14 +222,12 @@ def test_load_rejects_non_utf8():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7, -0.5])
-@pytest.mark.parametrize("where", ["forecasts", "targets", "outcomes"])
+@pytest.mark.parametrize("where", ["forecasts", "targets"])
 def test_pooling_rejects_bad_values(bad, where):
-    arrays = {"forecasts": [0.2, 0.4, 0.5], "targets": [0.1, 0.9, 0.3],
-              "outcomes": [0.0, 1.0, 1.0]}
+    arrays = {"forecasts": [0.2, 0.4, 0.5], "targets": [0.1, 0.9, 0.3]}
     arrays[where][1] = bad
     with pytest.raises(ValidationError, match=where):
-        grouped_from_arrays(arrays["forecasts"], arrays["targets"], "oracle",
-                            outcomes=arrays["outcomes"])
+        grouped_from_arrays(arrays["forecasts"], arrays["targets"])
 
 
 def test_pooling_rejects_length_mismatch():

@@ -134,8 +134,8 @@ def test_rescaled_atoms_pool_coincident_images():
     assert data.forecasts[-1] == 1.0 and len(data) == 2
     assert data.counts.tolist() == [0.25, 0.75]
     assert data.n == 1.0
-    assert data.outcome_sums[-1] == pytest.approx(0.25 * (0.2 + 0.4 + 0.9),
-                                                  abs=1e-15)
+    assert data.target_sums[-1] == pytest.approx(0.25 * (0.2 + 0.4 + 0.9),
+                                                 abs=1e-15)
     assert data.residual_sums[-1] == pytest.approx(
         0.25 * (0.2 + 0.4 + 0.9) - 0.75, abs=1e-15)
 

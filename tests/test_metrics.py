@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from cutoffcal import (GroupedDataset, SeededRng, binned_ece,
-                       bv_wce_lower_bound, cutoff_error,
+from cutoffcal import (GroupedDataset, SeededRng, ValidationError,
+                       binned_ece, bv_wce_lower_bound, cutoff_error,
                        effective_support_size, grouped_from_arrays,
                        lipschitz_wce, make_staircase, oracle_ece)
 from cutoffcal.metrics import _prefix_sums
@@ -32,12 +32,11 @@ def random_grouped(rng, max_groups=200, ties=True):
     vals = np.round(rng.random(m), 2) if ties else rng.random(m)
     t = np.unique(vals)
     y = rng.random(len(t))
-    return grouped_from_arrays(t, y, residual_mode="oracle")
+    return grouped_from_arrays(t, y)
 
 
 def test_cutoff_zero_on_calibrated():
-    data = grouped_from_arrays([0.2, 0.5, 0.9], [0.2, 0.5, 0.9],
-                               residual_mode="oracle")
+    data = grouped_from_arrays([0.2, 0.5, 0.9], [0.2, 0.5, 0.9])
     est = cutoff_error(data)
     assert est.value == 0.0
     assert est.argmax_interval is None
@@ -156,8 +155,7 @@ def test_cutoff_order_only_invariance():
     rng = np.random.default_rng(5)
     data = random_grouped(rng, max_groups=30)
     relabeled = GroupedDataset(np.sqrt(data.forecasts), data.residual_sums,
-                               data.counts, data.outcome_sums, data.n,
-                               data.residual_mode)
+                               data.counts, data.target_sums, data.n)
     assert cutoff_error(relabeled).value == cutoff_error(data).value
 
 
@@ -192,8 +190,37 @@ def test_binned_ece_invalid_bins():
         binned_ece(data, 0)
 
 
+def exact_binned_ece(t, y, num_bins):
+    """Binned ECE in exact rational arithmetic, bins by exact ceil(t N)."""
+    gaps = [Fraction(0)] * (num_bins + 1)
+    for a, b in zip(t.tolist(), y.tolist()):
+        k = min(max(math.ceil(Fraction(a) * num_bins), 1), num_bins)
+        gaps[k] += Fraction(b) - Fraction(a)
+    return sum(abs(g) for g in gaps) / len(t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_binned_ece_matches_exact_fractions(seed):
+    # subtracting per-bin forecast sums from per-bin outcome sums loses up
+    # to 1.8e-15 to cancellation on these inputs; 1e-16 rules that out
+    rng = np.random.default_rng(seed)
+    t = rng.random(20_000)
+    y = (rng.random(20_000) < t).astype(float)
+    data = grouped_from_arrays(t, y)
+    for bins in (1, 10, 15):
+        error = Fraction(binned_ece(data, bins)) - exact_binned_ece(t, y, bins)
+        assert abs(error) <= Fraction(1, 10**16)
+
+
+def test_binned_ece_many_bins_is_per_group():
+    # memory follows the occupied bins, not N
+    data = grouped_from_arrays([0.1, 0.2, 0.2, 0.9], [1.0, 0.0, 1.0, 0.0])
+    assert binned_ece(data, 10**12) == \
+        float(np.sum(np.abs(data.residual_sums)) / data.n)
+
+
 def test_oracle_ece_perfect_and_degenerate():
-    perfect = grouped_from_arrays([0.2, 0.7], [0.2, 0.7], residual_mode="oracle")
+    perfect = grouped_from_arrays([0.2, 0.7], [0.2, 0.7])
     assert oracle_ece(perfect) == 0.0
     degenerate = GroupedDataset.from_atoms([(1.0, 0.0, 1.0)])
     assert oracle_ece(degenerate) == 1.0
@@ -205,13 +232,8 @@ def test_oracle_ece_perturbed_constant():
     assert oracle_ece(data) == pytest.approx(0.385, abs=1e-15)
 
 
-def test_oracle_ece_rejects_outcome_mode():
-    with pytest.raises(ValueError):
-        oracle_ece(grouped_from_arrays([0.5], [1.0]))
-
-
 def test_lipschitz_wce_zero_residuals():
-    data = grouped_from_arrays([0.1, 0.9], [0.1, 0.9], residual_mode="oracle")
+    data = grouped_from_arrays([0.1, 0.9], [0.1, 0.9])
     assert lipschitz_wce(data).objective == pytest.approx(0.0, abs=1e-12)
 
 
@@ -243,8 +265,7 @@ def test_lipschitz_wce_matches_grid():
     for _ in range(5):
         m = int(rng.integers(2, 6))
         t = np.sort(rng.random(m))
-        data = grouped_from_arrays(np.unique(t), rng.random(len(np.unique(t))),
-                                   residual_mode="oracle")
+        data = grouped_from_arrays(np.unique(t), rng.random(len(np.unique(t))))
         lw = lipschitz_wce(data)
         assert lw.objective >= grid_search_wce(data) - 1e-9
         assert lw.objective <= grid_search_wce(data) + 0.025
@@ -503,7 +524,7 @@ def test_bv_lower_bound_sandwich():
 
 
 def test_bv_lower_bound_zero_residuals():
-    data = grouped_from_arrays([0.1, 0.9], [0.1, 0.9], residual_mode="oracle")
+    data = grouped_from_arrays([0.1, 0.9], [0.1, 0.9])
     assert bv_wce_lower_bound(data, 2.0, SeededRng(0)) == pytest.approx(0.0,
                                                                         abs=1e-12)
 
@@ -524,6 +545,19 @@ def test_effective_support_size():
     masses = GroupedDataset([0.1, 0.2, 0.3], [0, 0, 0], [50, 30, 20],
                             [0, 0, 0], n=100)
     assert effective_support_size(masses, 0.25) == 2
+
+    # 2e5 masses of 0.1: their cumsum ends 1e-8 below the exact total
+    many = GroupedDataset(np.arange(1, 200_001) / 200_001, np.zeros(200_000),
+                          np.full(200_000, 0.1), np.zeros(200_000),
+                          n=math.fsum([0.1] * 200_000))
+    assert effective_support_size(many, 0.0) == 200_000
+
+
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, 1.5])
+def test_effective_support_size_rejects_bad_gamma(gamma):
+    data = grouped_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="gamma"):
+        effective_support_size(data, gamma)
 
 
 def test_cutoff_le_ece_random_oracle():
