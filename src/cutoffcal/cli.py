@@ -55,7 +55,9 @@ def _write(text: str, out_path: Optional[str]):
 
 
 def _emit(obj, out_path: Optional[str]):
-    _write(json.dumps(obj, indent=2, allow_nan=False), out_path)
+    """obj as one line of compact JSON. Without indent, json.dumps runs
+    CPython's C encoder; with it, a pure-Python one at about 3x the time."""
+    _write(json.dumps(obj, allow_nan=False), out_path)
 
 
 def cmd_audit(args) -> int:

@@ -34,6 +34,8 @@ def concentration_radius(n: float, delta: float) -> float:
     """High-probability deviation radius of the plug-in interval estimator."""
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
+    if not 0.0 < n < math.inf:
+        raise ValidationError(f"n must be finite and > 0, got {n!r}")
     return (20.0 + math.sqrt(2.0 * math.log(1.0 / delta))) / math.sqrt(n)
 
 
@@ -99,8 +101,10 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     be near zero while the unbinned forecast has a large interval-supremum
     error (see the staircase construction in the experiments module).
     """
-    if num_bins < 1:
-        raise ValidationError("num_bins must be >= 1")
+    if (isinstance(num_bins, bool)
+            or not isinstance(num_bins, (int, np.integer)) or num_bins < 1):
+        raise ValidationError(
+            f"num_bins must be an integer >= 1, got {num_bins!r}")
     # sorted groups fall into nondecreasing bins: sum each bin's run
     b = np.clip(np.ceil(data.forecasts * num_bins), 1, num_bins)
     start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
@@ -265,8 +269,9 @@ def bv_wce_lower_bound(data: GroupedDataset, total_variation: float,
     variation <= M and range [-1, 1], plus the signed indicator of the
     argmax interval of the scan (TV <= 2, so always admissible for M >= 2).
     """
-    if total_variation < 2.0:
-        raise ValueError("total_variation must be >= 2")
+    if not total_variation >= 2.0:
+        raise ValidationError(
+            f"total_variation must be >= 2, got {total_variation!r}")
     r = data.residual_sums / data.n
     est = cutoff_error(data)
     best = 0.0

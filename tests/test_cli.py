@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cutoffcal
+from cutoffcal import fit_isotonic, load_columns
 from cutoffcal.cli import main
 
 
@@ -203,6 +204,30 @@ def test_simulate_file_and_stdout_bytes_agree(tmp_path, capsysbinary):
     assert main(args + ["--out", str(tmp_path / "s.csv")]) == 0
     assert main(args) == 0
     assert (tmp_path / "s.csv").read_bytes() == capsysbinary.readouterr().out
+
+
+def test_isotonic_stdout_is_one_line_with_exact_breakpoints(empirical_csv,
+                                                             capsysbinary):
+    assert main(["calibrate", str(empirical_csv), "--method", "isotonic"]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.endswith(b"\n") and out.count(b"\n") == 1
+    got = np.array(json.loads(out)["calibrator"]["breakpoints"])
+    with open(empirical_csv, "rb") as fh:
+        want = fit_isotonic(load_columns(fh)).breakpoints
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("args", [
+    ["audit", "{oracle}", "--oracle"],
+    ["calibrate", "{empirical}", "--method", "isotonic",
+     "--test-input", "{empirical}"],
+])
+def test_json_file_and_stdout_bytes_agree(args, empirical_csv, oracle_csv,
+                                          tmp_path, capsysbinary):
+    args = [a.format(oracle=oracle_csv, empirical=empirical_csv) for a in args]
+    assert main(args + ["--out", str(tmp_path / "r.json")]) == 0
+    assert main(args) == 0
+    assert (tmp_path / "r.json").read_bytes() == capsysbinary.readouterr().out
 
 
 def test_counterexample_schema_and_certificate(tmp_path, schema):

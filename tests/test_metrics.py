@@ -14,7 +14,7 @@ from cutoffcal import (GroupedDataset, SeededRng, ValidationError,
                        binned_ece, bv_wce_lower_bound, cutoff_error,
                        effective_support_size, grouped_from_arrays,
                        lipschitz_wce, make_staircase, oracle_ece)
-from cutoffcal.metrics import _prefix_sums
+from cutoffcal.metrics import _prefix_sums, concentration_radius
 
 
 def brute_force_cutoff(data):
@@ -165,6 +165,18 @@ def test_concentration_radius_formula():
     assert est.concentration_radius(0.05) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("n", [float("nan"), 0, 0.0, -1, float("inf")])
+def test_concentration_radius_rejects_bad_n(n):
+    with pytest.raises(ValidationError):
+        concentration_radius(n, 0.05)
+
+
+def test_concentration_radius_fractional_n():
+    # atom masses sum to a float n
+    assert concentration_radius(0.25, 0.05) == pytest.approx(
+        2 * concentration_radius(1, 0.05))
+
+
 def test_binned_ece_single_bin_matched_means():
     data = grouped_from_arrays([0.2, 0.8], [0.8, 0.2])
     assert binned_ece(data, 1) == pytest.approx(0.0)
@@ -188,6 +200,14 @@ def test_binned_ece_invalid_bins():
     data = grouped_from_arrays([0.5], [0.5])
     with pytest.raises(ValueError):
         binned_ece(data, 0)
+    for bins in (2.5, float("nan"), True, -1, 3.0, np.float64(4.0)):
+        with pytest.raises(ValidationError):
+            binned_ece(data, bins)
+
+
+def test_binned_ece_accepts_numpy_integers():
+    data = grouped_from_arrays([0.1, 0.6], [1.0, 0.0])
+    assert binned_ece(data, np.int64(2)) == binned_ece(data, 2)
 
 
 def exact_binned_ece(t, y, num_bins):
@@ -533,6 +553,9 @@ def test_bv_lower_bound_rejects_small_tv():
     data = grouped_from_arrays([0.5], [1.0])
     with pytest.raises(ValueError):
         bv_wce_lower_bound(data, 1.5, SeededRng(0))
+    for tv in (1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            bv_wce_lower_bound(data, tv, SeededRng(0))
 
 
 def test_effective_support_size():
