@@ -96,8 +96,11 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray,
-                  grad_tol: float = 1e-10, max_iter: int = 200):
+_GRAD_TOL = 1e-10
+_MAX_ITER = 200
+
+
+def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray):
     """Damped Newton for weighted two-parameter logistic loss.
 
     Minimizes sum_i w_i * [-target_i log p_i - (1 - target_i) log(1 - p_i)]
@@ -115,10 +118,10 @@ def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray,
         return float(np.dot(weights, np.logaddexp(0.0, z) - target * z))
 
     cur = loss(theta)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         p = _sigmoid(X @ theta)
         grad = X.T @ (weights * (p - target))
-        if np.linalg.norm(grad) < grad_tol:
+        if np.linalg.norm(grad) < _GRAD_TOL:
             return theta, cur
         h = weights * p * (1.0 - p)
         H = X.T @ (X * h[:, None])
@@ -138,7 +141,7 @@ def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray,
         theta, cur = cand, new
     p = _sigmoid(X @ theta)
     grad = X.T @ (weights * (p - target))
-    if np.linalg.norm(grad) < grad_tol:
+    if np.linalg.norm(grad) < _GRAD_TOL:
         return theta, cur
     raise PlattDivergence(
         f"logistic fit did not converge; |grad|={np.linalg.norm(grad):.3e}")

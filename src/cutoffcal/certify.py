@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .calibrate import CalibratorMap
-from .core import SeededRng, ValidationError, grouped_from_arrays
+from .core import SeededRng, ValidationError, _check_unit, grouped_from_arrays
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = ["CertificationVerdict", "certify", "min_admissible_c"]
@@ -59,25 +59,35 @@ def min_admissible_c(n: int, delta: float) -> float:
     """Smallest threshold c for which the 1 - 2*delta guarantee applies."""
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
+    if not n >= 2:
+        raise ValidationError(f"need n >= 2 samples, got {n!r}")
     return math.sqrt(math.log(1.0 / delta) / (2.0 * (n // 2)))
 
 
-def certify(covariates: Sequence, outcomes: Sequence[float],
-            trainer: Callable[[Sequence, np.ndarray], Callable],
+def certify(covariates, outcomes,
+            trainer: Callable[[np.ndarray, np.ndarray], Callable],
             c: float, delta: float,
             split_seed: Optional[SeededRng] = None) -> CertificationVerdict:
     """Run the two-stage procedure and return the verdict.
 
-    trainer receives the first ceil(n/2) covariates and outcomes and must
-    return a callable mapping covariates to forecasts in [0, 1]. Covariates
-    are passed through untouched as opaque handles. The split is
-    first/second half in input order; pass split_seed to apply a seeded
-    permutation first (for files that may be sorted).
+    covariates: rows along the first axis as np.asarray sees them, one per
+    outcome (an object array carries opaque handles). trainer gets the first
+    ceil(n/2) rows and outcomes and returns a model, called once on the
+    other rows, that must return one forecast in [0, 1] per row. The split
+    is in input order; split_seed permutes the rows first (for sorted files).
     """
+    x = np.asarray(covariates)
     outcomes = np.asarray(outcomes, dtype=float)
+    if outcomes.ndim != 1 or x.shape[:1] != outcomes.shape:
+        raise ValidationError(
+            f"need one covariate row per outcome, got covariates of shape "
+            f"{x.shape} and outcomes of shape {outcomes.shape}")
+    _check_unit("outcomes", outcomes)
     n = len(outcomes)
     if n < 4:
         raise ValidationError("need at least 4 samples")
+    if not math.isfinite(c):
+        raise ValidationError(f"c must be finite, got {c!r}")
     floor = min_admissible_c(n, delta)
     if c < floor:
         raise ValidationError(
@@ -90,11 +100,14 @@ def certify(covariates: Sequence, outcomes: Sequence[float],
     k = -(-n // 2)  # ceil(n/2)
     train_idx, test_idx = idx[:k], idx[k:]
 
-    covariates = list(covariates)
-    model = trainer([covariates[i] for i in train_idx], outcomes[train_idx])
-    test_cov = [covariates[i] for i in test_idx]
+    model = trainer(x[train_idx], outcomes[train_idx])
     test_y = outcomes[test_idx]
-    forecasts = np.asarray([model(x) for x in test_cov], dtype=float)
+    forecasts = np.asarray(model(x[test_idx]), dtype=float)
+    if forecasts.shape != test_y.shape:
+        name = getattr(model, "__qualname__", type(model).__name__)
+        raise ValidationError(
+            f"model {name} must return one forecast per held-out row: "
+            f"expected shape {test_y.shape}, got {forecasts.shape}")
 
     est = cutoff_error(grouped_from_arrays(forecasts, test_y))
     threshold = c - concentration_radius(n // 2, delta)

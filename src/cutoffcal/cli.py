@@ -115,7 +115,7 @@ def cmd_certify(args) -> int:
         return lambda x: x
 
     seed = SeededRng(args.shuffle_seed) if args.shuffle_seed is not None else None
-    verdict = run_certify(cols.forecasts.tolist(), cols.outcomes, pretrained,
+    verdict = run_certify(cols.forecasts, cols.outcomes, pretrained,
                           args.c, args.delta, split_seed=seed)
     _emit(verdict.to_dict(), args.out)
     return EXIT_OK

@@ -61,6 +61,15 @@ def _check_weights(name: str, values, shape) -> np.ndarray:
     return w
 
 
+def _normalised_weights(weights, shape) -> np.ndarray:
+    """Uniform 1/n weights when weights is None; else the checked weights
+    divided by their sum."""
+    if weights is None:
+        return np.full(shape, 1.0 / shape[0])
+    w = _check_weights("weights", weights, shape)
+    return w / np.sum(w)
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Deterministic random stream identified by (seed, stream_id).

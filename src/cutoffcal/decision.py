@@ -13,7 +13,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import _check_rows, _check_unit, _check_weights
+from .core import (ValidationError, _check_rows, _check_unit, _check_weights,
+                   _normalised_weights)
 
 __all__ = [
     "DecisionEvalSet",
@@ -46,14 +47,10 @@ class DecisionEvalSet:
     def __post_init__(self):
         _check_unit(f"tau ({self.tau!r})", self.tau)
         t, mu = _check_rows(self.forecasts, means=self.means)
-        if self.weights is None:
-            w = np.full(len(t), 1.0 / len(t))
-        else:
-            w = _check_weights("weights", self.weights, t.shape)
-            w = w / np.sum(w)
         object.__setattr__(self, "forecasts", t)
         object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights",
+                           _normalised_weights(self.weights, t.shape))
 
     @property
     def n_eval(self) -> int:
@@ -62,14 +59,20 @@ class DecisionEvalSet:
 
 @dataclass(frozen=True)
 class DiscreteMixture:
-    """Finite mixture over decision thresholds; weights must sum to 1."""
+    """Finite mixture over decision thresholds. Raises ValidationError
+    unless every tau is in [0, 1] and the weights are finite, non-negative
+    and sum to 1 within 1e-12."""
 
     atoms: Tuple[Tuple[float, float], ...]  # (tau, weight)
 
     def __post_init__(self):
-        total = math.fsum(w for _, w in self.atoms)
+        taus, weights = np.array(self.atoms, dtype=float).reshape(
+            len(self.atoms), 2).T
+        _check_unit("mixture taus", taus)
+        _check_weights("mixture weights", weights, taus.shape)
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
+            raise ValidationError(f"mixture weights sum to {total}, expected 1")
 
 
 def loss_bd(y: float, yhat: int, tau: float) -> float:
@@ -146,11 +149,7 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     and forecasts and outcomes non-empty 1-D arrays of equal length."""
     _check_unit(f"ystar ({ystar!r})", ystar)
     t, y = _check_rows(forecasts, outcomes=outcomes)
-    if weights is None:
-        w = np.full(len(t), 1.0 / len(t))
-    else:
-        w = _check_weights("weights", weights, t.shape)
-        w = w / np.sum(w)
+    w = _normalised_weights(weights, t.shape)
     over = (y - ystar) * (t <= ystar) * (y > ystar)
     under = (ystar - y) * (t > ystar) * (y <= ystar)
     return float(np.dot(w, over + under))

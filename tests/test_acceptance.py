@@ -171,7 +171,7 @@ def test_criterion_07_certification_guarantee():
         return cutoff_error(data).value
 
     def adversarial(train_cov, train_y):
-        return lambda x: 1.0
+        return lambda x: np.full_like(x, 1.0)
 
     def truthful(train_cov, train_y):
         return lambda x: x

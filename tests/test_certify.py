@@ -6,7 +6,8 @@ import pytest
 from cutoffcal import (CertificationVerdict, SeededRng, ValidationError,
                        certify, min_admissible_c)
 from cutoffcal.calibrate import CalibratorMap
-from cutoffcal.metrics import concentration_radius
+from cutoffcal.core import grouped_from_arrays
+from cutoffcal.metrics import concentration_radius, cutoff_error
 
 
 def identity_trainer(train_cov, train_y):
@@ -104,8 +105,108 @@ def test_verdict_to_dict_roundtrips_fallback():
 @pytest.mark.parametrize("bad", [float("nan"), 3.0])
 def test_trainer_output_out_of_range_raises(bad):
     def trainer(train_cov, train_y):
-        return lambda x: bad
+        return lambda x: np.full_like(x, bad)
 
     with pytest.raises(ValidationError, match="forecasts"):
         certify([0.5] * 2000, [i % 2 for i in range(2000)], trainer,
                 c=0.8, delta=0.05)
+
+
+def test_trainer_gets_arrays_and_model_is_called_once():
+    n = 101
+    x = np.linspace(0.0, 1.0, n)
+    y = (np.arange(n) % 2).astype(float)
+    calls = []
+
+    def trainer(train_cov, train_y):
+        calls.append(("train", train_cov, train_y))
+
+        def model(rows):
+            calls.append(("model", rows))
+            return rows
+        return model
+
+    verdict = certify(x, y, trainer, c=4.0, delta=0.1,
+                      split_seed=SeededRng(5))
+    perm = SeededRng(5).generator().permutation(n)
+    (_, train_cov, train_y), (_, rows) = calls
+    assert isinstance(train_cov, np.ndarray)
+    assert isinstance(train_y, np.ndarray)
+    np.testing.assert_array_equal(train_cov, x[perm[:51]])
+    np.testing.assert_array_equal(train_y, y[perm[:51]])
+    np.testing.assert_array_equal(rows, x[perm[51:]])
+    expected = cutoff_error(grouped_from_arrays(x[perm[51:]], y[perm[51:]]))
+    assert verdict.estimate == expected.value
+
+
+def test_two_dimensional_covariates():
+    rng = np.random.default_rng(8)
+    n = 400
+    t = rng.random(n)
+    y = (rng.random(n) < t).astype(float)
+    features = np.column_stack([t, rng.random(n)])
+
+    def trainer(train_cov, train_y):
+        assert train_cov.shape == (200, 2)
+        return lambda rows: rows[:, 0]
+
+    verdict = certify(features, y, trainer, c=2.0, delta=0.05)
+    flat = certify(t, y, identity_trainer, c=2.0, delta=0.05)
+    assert verdict.estimate == flat.estimate
+    assert verdict.accepted == flat.accepted
+
+
+def test_object_covariates_stay_opaque_handles():
+    handles = [{"p": 0.5} for _ in range(100)]
+
+    def trainer(train_cov, train_y):
+        assert train_cov.dtype == object and train_cov[0] is handles[0]
+        return lambda rows: np.array([h["p"] for h in rows])
+
+    verdict = certify(handles, [i % 2 for i in range(100)], trainer,
+                      c=4.0, delta=0.1)
+    assert verdict.estimate == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("covariates, outcomes", [
+    ([0.5] * 10, [0, 1, 0, 1, 0, 1]),
+    ([0.5] * 3, [0, 1, 0, 1, 0, 1]),
+    (0.5, [0, 1, 0, 1, 0, 1]),
+    ([0.5] * 6, [[0, 1]] * 6),
+])
+def test_covariate_outcome_length_mismatch_raises(covariates, outcomes):
+    with pytest.raises(ValidationError, match="one covariate row per outcome"):
+        certify(covariates, outcomes, identity_trainer, c=4.0, delta=0.1)
+
+
+@pytest.mark.parametrize("bad", [5.0, -0.5, float("nan")])
+def test_outcomes_out_of_range_raise_in_either_half(bad):
+    # the bad values sit in the training half, which the scan never pools
+    with pytest.raises(ValidationError, match="outcomes"):
+        certify([0.5] * 8, [bad] * 4 + [0, 1, 0, 1], identity_trainer,
+                c=4.0, delta=0.1)
+
+
+@pytest.mark.parametrize("model", [
+    lambda rows: 0.5,
+    lambda rows: rows[:-1],
+    lambda rows: np.column_stack([rows, rows]),
+])
+def test_model_output_shape_checked(model):
+    with pytest.raises(ValidationError, match="model .*lambda.* one forecast "
+                                              "per held-out row"):
+        certify([0.5] * 100, [i % 2 for i in range(100)],
+                lambda cov, y: model, c=4.0, delta=0.1)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_c_raises(c):
+    with pytest.raises(ValidationError, match="c must be finite"):
+        certify([0.5] * 100, [i % 2 for i in range(100)], identity_trainer,
+                c=c, delta=0.1)
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_min_admissible_c_needs_two_samples(n):
+    with pytest.raises(ValidationError, match="n >= 2"):
+        min_admissible_c(n, 0.05)

@@ -249,6 +249,8 @@ def test_stdout_emission(empirical_csv, capsys):
     ["audit", "{csv}", "--bins", "0"],
     ["audit", "{csv}", "--delta", "1.5"],
     ["certify", "{csv}", "--c", "0.8", "--delta", "0"],
+    ["certify", "{csv}", "--c", "nan"],
+    ["certify", "{csv}", "--c", "inf"],
     ["calibrate", "{csv}", "--method", "modified-platt", "--epsilon", "-1"],
     ["simulate", "--runs", "0"],
     ["simulate", "--tau", "2"],

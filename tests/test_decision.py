@@ -133,6 +133,20 @@ def test_mixture_weights_must_sum_to_one():
         DiscreteMixture(((0.5, 0.4), (0.7, 0.4)))
 
 
+@pytest.mark.parametrize("atoms, match", [
+    (((0.5, float("nan")),), "weights"),
+    (((0.5, 2.0), (0.3, -1.0)), "weights"),
+    (((0.5, float("inf")), (0.3, 0.5)), "weights"),
+    (((1.5, 1.0),), "taus"),
+    (((float("nan"), 1.0),), "taus"),
+    (((-0.1, 0.5), (0.5, 0.5)), "taus"),
+    ((), "weights"),
+])
+def test_mixture_rejects_impossible_atoms(atoms, match):
+    with pytest.raises(ValidationError, match=match):
+        DiscreteMixture(atoms)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(tau=1.5),
     dict(tau=float("nan")),
