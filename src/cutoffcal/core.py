@@ -115,10 +115,18 @@ class GroupedDataset:
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple]) -> "GroupedDataset":
         """Pool (forecast, conditional_mean, mass) triples by forecast, with
-        total mass as n and residuals mean - forecast. Forecasts and means
-        must be in [0, 1]; masses are checked like DecisionEvalSet weights.
+        total mass as n and residuals mean - forecast. atoms must form a
+        (k, 3) array; forecasts and means must be in [0, 1]; masses are
+        checked like DecisionEvalSet weights.
         """
-        t, mu, w = np.array(atoms, dtype=float).reshape(-1, 3).T
+        try:
+            table = np.array(atoms, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric
+            table = None
+        if table is None or table.ndim != 2 or table.shape[1] != 3:
+            raise ValidationError("atoms must be (forecast, conditional_mean, "
+                                  "mass) triples")
+        t, mu, w = table.T
         w = _check_weights("masses", w, t.shape)
         return _pool(t, mu, w, math.fsum(w.tolist()))
 
@@ -203,19 +211,56 @@ def grouped_from_arrays(forecasts, targets) -> GroupedDataset:
     [0, 1].
     """
     t = np.asarray(forecasts, dtype=float)
-    return _pool(t, targets, np.ones(t.shape), int(t.size))
+    return _pool(t, targets, None, int(t.size))
+
+
+def _order(*keys) -> np.ndarray:
+    """The permutation that sorts rows by keys[-1], then keys[-2], and so
+    on to keys[0]; rows that tie on every key come in no set order.
+
+    keys[0] is argsorted. Each later key then sorts the int64 key
+    d * n + p, with d its dense rank (np.unique) and p a row's current
+    position, so rows move to the order of d and ties keep their order.
+    All sorts are numpy's default, unstable ones. With m distinct values,
+    d * n + p < m * n <= n**2 < 2**63, which holds for n < 3 * 10**9 rows.
+    """
+    order = np.argsort(keys[0])
+    n = np.int64(order.size)
+    position = np.arange(n)
+    for key in keys[1:]:
+        dense = np.unique(key, return_inverse=True)[1]
+        refined = dense.astype(np.int64, copy=False)[order] * n
+        refined += position
+        refined.sort()
+        refined %= n
+        order = order[refined]
+    return order
 
 
 def _pool(t, targets, w, n) -> GroupedDataset:
-    """The one pooling routine: per forecast, the sums of the masses w, of
-    w * (target - t) and of w * target. Rows are sorted by (forecast,
-    target, mass) first, so sums do not depend on input order;
-    np.add.reduceat sums each group pairwise, keeping its error O(eps log n).
+    """The one pooling routine: per forecast, the sums of the masses, of
+    mass * (target - t) and of mass * target. w holds one mass per atom,
+    or is None for rows of mass 1, whose counts are the group sizes.
+    Rows are sorted by (forecast, target, mass) first and -0.0 is read as
+    +0.0, so rows that tie on every key are bitwise equal and sums do not
+    depend on input order; np.add.reduceat sums each group pairwise,
+    keeping its error O(eps log n).
     """
     t, v = _check_rows(t, targets=targets)
-    order = np.lexsort((w, v, t))
-    t, v, w = t[order], v[order], w[order]
+    order = _order(v, t) if w is None else _order(w, v, t)
+    t, v = t[order], v[order]
+    # -0.0 + 0.0 is +0.0 and other values are kept; the sorts already
+    # took -0.0 and +0.0 as equal
+    t += 0.0
+    v += 0.0
     start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    return GroupedDataset(t[start], np.add.reduceat((v - t) * w, start),
-                          np.add.reduceat(w, start),
-                          np.add.reduceat(v * w, start), n=n)
+    residuals = v - t
+    if w is None:
+        counts = np.diff(start, append=t.size)
+    else:
+        w = w[order] + 0.0
+        counts = np.add.reduceat(w, start)
+        residuals *= w
+        v *= w
+    return GroupedDataset(t[start], np.add.reduceat(residuals, start), counts,
+                          np.add.reduceat(v, start), n=n)

@@ -217,6 +217,20 @@ def test_isotonic_stdout_is_one_line_with_exact_breakpoints(empirical_csv,
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_isotonic_signed_zero_forecasts_do_not_depend_on_row_order(
+        tmp_path, capsysbinary):
+    outs = []
+    for rows in (["-0.0,0", "0.0,0"], ["0.0,0", "-0.0,0"]):
+        path = tmp_path / "zeros.csv"
+        path.write_text("forecast,outcome\n" + "\n".join(rows + ["0.5,1"]))
+        assert main(["calibrate", str(path), "--method", "isotonic"]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["calibrator"]["breakpoints"] == [[0.0, 0.0],
+                                                                [0.5, 1.0]]
+    assert b"-0.0" not in outs[0]
+
+
 @pytest.mark.parametrize("args", [
     ["audit", "{oracle}", "--oracle"],
     ["calibrate", "{empirical}", "--method", "isotonic",

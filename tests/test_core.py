@@ -151,6 +151,67 @@ def test_from_atoms_rejects_bad_atoms(atom):
         GroupedDataset.from_atoms([(0.2, 0.3, 0.5), atom])
 
 
+@pytest.mark.parametrize("atoms", [
+    [(0.5, 0.5), (0.3, 0.2), (0.1, 0.9)],
+    [(0.5, 0.5, 1.0, 1.0)],
+    [(0.5, 0.5, 1.0), (0.2, 0.1)],
+    [[(0.1, 0.2, 0.3)]],
+    [],
+], ids=["pairs", "4-tuple", "ragged", "nested", "empty"])
+def test_from_atoms_requires_triples(atoms):
+    with pytest.raises(ValidationError, match="triples"):
+        GroupedDataset.from_atoms(atoms)
+
+
+def reference_pool(t, v, w=None):
+    """Pooling in the np.lexsort((w, v, t)) order of the rows, with unit
+    masses spelled out for rows and -0.0 read as +0.0: the ordering the
+    pooling routine must agree with bit for bit."""
+    t, v = np.asarray(t, dtype=float) + 0.0, np.asarray(v, dtype=float) + 0.0
+    n = int(t.size) if w is None else math.fsum(w)
+    w = np.ones(t.shape) if w is None else np.asarray(w, dtype=float) + 0.0
+    order = np.lexsort((w, v, t))
+    t, v, w = t[order], v[order], w[order]
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    return GroupedDataset(t[start], np.add.reduceat((v - t) * w, start),
+                          np.add.reduceat(w, start),
+                          np.add.reduceat(v * w, start), n=n)
+
+
+TIE_VALUES = st.sampled_from([-0.0, 0.0, 0.1, 0.5, 1.0])
+
+
+@given(st.lists(st.tuples(TIE_VALUES, TIE_VALUES,
+                          st.sampled_from([-0.0, 0.5, 1.0, 2.0])),
+                min_size=1, max_size=40),
+       st.lists(st.sampled_from([0.0, 0.5, 3.0]), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_pooling_matches_lexsort_reference(rows, masses):
+    # duplicate (t, v) pairs that carry other masses
+    rows += [(t, v, m) for (t, v, _), m in zip(rows, masses)]
+    t, v, w = zip(*rows)
+    assert same_bits(grouped_from_arrays(t, v), reference_pool(t, v))
+    if sum(w) > 0:
+        assert same_bits(GroupedDataset.from_atoms(rows),
+                         reference_pool(t, v, w))
+
+
+def test_pooling_large_ties_permutation_invariant():
+    # audit --oracle shape: a 0.01 forecast grid, outcomes and noisy means
+    rng = np.random.default_rng(10)
+    n = 200_000
+    t = rng.integers(0, 101, size=n) / 100.0
+    mu = np.clip(t + 0.05 * np.sin(2 * np.pi * t)
+                 + rng.uniform(-0.05, 0.05, size=n), 0, 1)
+    y = (rng.uniform(size=n) < mu).astype(float)
+    perm = rng.permutation(n)
+    for v in (y, mu):
+        data = grouped_from_arrays(t, v)
+        assert len(data) == 101
+        assert same_bits(data, grouped_from_arrays(t[perm], v[perm]))
+        assert same_bits(data, reference_pool(t, v))
+
+
 def line_parser(text):
     """The line-by-line reference the vectorised loader falls back to."""
     lines = text.splitlines()
