@@ -4,15 +4,16 @@ decision-theoretic risk-gap evaluation."""
 
 from .core import (Columns, GroupedDataset, SeededRng, ValidationError,
                    grouped_from_arrays, load_columns)
-from .metrics import (CutoffEstimate, LipschitzWeights, binned_ece,
-                      bv_wce_lower_bound, concentration_radius, cutoff_error,
+from .metrics import (CutoffEstimate, LipschitzWeights, binned_ece, bv_wce,
+                      concentration_radius, cutoff_error,
                       effective_support_size, lipschitz_wce, oracle_ece)
 from .calibrate import (CalibratorMap, PlattDivergence, apply_map,
                         default_epsilon, fit_isotonic, fit_modified_platt,
                         fit_platt)
 from .decision import (DecisionEvalSet, DiscreteMixture,
                        best_monotone_wrapper_risk, best_wrapper_risk, loss_bd,
-                       risk_bd, risk_gaps, risk_st, schervish_loss)
+                       risk_bd, risk_gaps, risk_st, risks,
+                       schervish_loss)
 from .certify import CertificationVerdict, certify, min_admissible_c
 from .experiments import (SimulationConfig, SimulationRunRecord,
                           make_perturbed_constant, make_separation_example,

@@ -124,9 +124,7 @@ def cmd_certify(args) -> int:
 def cmd_decide(args) -> int:
     t, y, mu = _read_columns(args.input, mode="oracle")
     ev = dec.DecisionEvalSet(t, mu, args.tau)
-    risk = dec.risk_bd(ev)
-    bayes = dec.best_wrapper_risk(ev)
-    mono = dec.best_monotone_wrapper_risk(ev)
+    risk, bayes, mono = dec.risks(ev)
     result = {"risk": risk, "bayes_risk": bayes, "monotone_risk": mono,
               "gap": risk - bayes, "monotone_gap": risk - mono}
     if args.ystar is not None:

@@ -175,7 +175,8 @@ def _parse_lines(lines: list, width: int) -> np.ndarray:
 def load_columns(source, mode: str = "empirical") -> Columns:
     """Parse a CSV byte stream (or bytes/str) into float columns.
 
-    Header must be ``forecast,outcome[,oracle_mean]``. The data lines are
+    Header must be ``forecast,outcome[,oracle_mean]``, after at most one
+    UTF-8 byte-order mark (as Excel writes it). The data lines are
     parsed in one vectorised pass and checked as a whole; only when that
     check fails are they parsed again line by line, to raise
     ValidationError with the offending line number. Blank lines are
@@ -186,7 +187,7 @@ def load_columns(source, mode: str = "empirical") -> Columns:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     except UnicodeDecodeError as e:
         raise ValidationError(f"input is not UTF-8: {e}") from None
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     if not lines:
         raise ValidationError("empty input")
     has_oracle = _parse_header(lines[0], mode)

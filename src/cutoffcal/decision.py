@@ -24,6 +24,7 @@ __all__ = [
     "best_wrapper_risk",
     "best_monotone_wrapper_risk",
     "risk_gaps",
+    "risks",
     "risk_st",
     "schervish_loss",
 ]
@@ -60,14 +61,15 @@ class DecisionEvalSet:
 @dataclass(frozen=True)
 class DiscreteMixture:
     """Finite mixture over decision thresholds. Raises ValidationError
-    unless every tau is in [0, 1] and the weights are finite, non-negative
-    and sum to 1 within 1e-12."""
+    unless atoms form a (k, 2) array, every tau is in [0, 1] and the
+    weights are finite, non-negative and sum to 1 within 1e-12."""
 
     atoms: Tuple[Tuple[float, float], ...]  # (tau, weight)
 
     def __post_init__(self):
-        taus, weights = np.array(self.atoms, dtype=float).reshape(
-            len(self.atoms), 2).T
+        if not all(np.shape(atom) == (2,) for atom in self.atoms):
+            raise ValidationError("mixture atoms must be (tau, weight) pairs")
+        taus, weights = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         _check_unit("mixture taus", taus)
         _check_weights("mixture weights", weights, taus.shape)
         total = math.fsum(weights)
@@ -80,14 +82,6 @@ def loss_bd(y: float, yhat: int, tau: float) -> float:
     return tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
 
 
-def _rule_losses(ev: DecisionEvalSet, actions: np.ndarray) -> float:
-    """Weighted average of loss_bd(mean, action, tau)."""
-    tau = ev.tau
-    losses = (tau * (1.0 - ev.means) * actions
-              + (1.0 - tau) * ev.means * (1.0 - actions))
-    return float(np.dot(ev.weights, losses))
-
-
 def risk_bd(ev: DecisionEvalSet,
             rule: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """Plug-in risk of a forecast-threshold rule (default 1{t >= tau})."""
@@ -95,7 +89,34 @@ def risk_bd(ev: DecisionEvalSet,
         actions = (ev.forecasts >= ev.tau).astype(float)
     else:
         actions = np.asarray(rule(ev.forecasts), dtype=float)
-    return _rule_losses(ev, actions)
+    return float(np.dot(ev.weights, loss_bd(ev.means, actions, ev.tau)))
+
+
+def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
+    """(plug-in, Bayes, best monotone) risks from one table of row costs:
+    tau (1 - mean) to act, (1 - tau) mean to pass. risk_bd prices the
+    plug-in rule with one cost per row and Bayes takes the smaller, summed
+    alike, so Bayes <= plug-in in floating point. The monotone risk is the
+    cheapest rule 1{t >= tau'} or 1{t <= tau'}, tau' in {0, forecasts...,
+    1}, from sorted prefix sums, with the plug-in rule at its own price.
+    """
+    act, skip = loss_bd(ev.means, 1, ev.tau), loss_bd(ev.means, 0, ev.tau)
+    plug_in = risk_bd(ev)
+    bayes = float(np.dot(ev.weights, np.minimum(act, skip)))
+    order = np.argsort(ev.forecasts, kind="stable")
+    t = ev.forecasts[order]
+    # prefix[k] = cost over the k smallest forecasts
+    act_pre = np.concatenate(([0.0], np.cumsum((ev.weights * act)[order])))
+    skip_pre = np.concatenate(([0.0], np.cumsum((ev.weights * skip)[order])))
+    cands = np.unique(np.concatenate(([0.0, 1.0], t)))
+    # >=-rule at tau': act on t >= tau'  -> k = #{t < tau'}
+    k = np.searchsorted(t, cands, side="left")
+    risks_ge = skip_pre[k] + (act_pre[-1] - act_pre[k])
+    # <=-rule at tau': act on t <= tau'  -> k = #{t <= tau'}
+    k = np.searchsorted(t, cands, side="right")
+    risks_le = act_pre[k] + (skip_pre[-1] - skip_pre[k])
+    monotone = min(float(risks_ge.min()), float(risks_le.min()), plug_in)
+    return plug_in, bayes, monotone
 
 
 def best_wrapper_risk(ev: DecisionEvalSet) -> float:
@@ -104,43 +125,18 @@ def best_wrapper_risk(ev: DecisionEvalSet) -> float:
     Valid as the infimum over arbitrary wrappers when the forecast is
     injective on the evaluation set (the oracle simulation regime).
     """
-    return _rule_losses(ev, (ev.means >= ev.tau).astype(float))
+    return risks(ev)[1]
 
 
 def best_monotone_wrapper_risk(ev: DecisionEvalSet) -> float:
-    """Exact minimum risk over monotone threshold rules.
-
-    Candidate thresholds are {0, forecasts..., 1} plus tau itself (so the
-    plug-in rule is always a candidate and gaps are nonnegative), each used
-    both as 1{t >= tau'} and 1{t <= tau'}. Computed with prefix sums after
-    sorting.
-    """
-    tau = ev.tau
-    order = np.argsort(ev.forecasts, kind="stable")
-    t = ev.forecasts[order]
-    fp = (ev.weights * tau * (1.0 - ev.means))[order]        # cost when acting
-    fn = (ev.weights * (1.0 - tau) * ev.means)[order]        # cost when passing
-    # prefix[k] = sum over the k smallest forecasts
-    fp_pre = np.concatenate([[0.0], np.cumsum(fp)])
-    fn_pre = np.concatenate([[0.0], np.cumsum(fn)])
-    fp_tot, fn_tot = fp_pre[-1], fn_pre[-1]
-
-    cands = np.unique(np.concatenate([[0.0, 1.0, tau], t]))
-    # >=-rule at tau': act on t >= tau'  -> k = #{t < tau'}
-    k_ge = np.searchsorted(t, cands, side="left")
-    risks_ge = fn_pre[k_ge] + (fp_tot - fp_pre[k_ge])
-    # <=-rule at tau': act on t <= tau'  -> k = #{t <= tau'}
-    k_le = np.searchsorted(t, cands, side="right")
-    risks_le = fp_pre[k_le] + (fn_tot - fn_pre[k_le])
-    return float(min(risks_ge.min(), risks_le.min()))
+    """Exact minimum risk over monotone threshold rules (see risks)."""
+    return risks(ev)[2]
 
 
 def risk_gaps(ev: DecisionEvalSet) -> Tuple[float, float]:
-    """(plug-in risk - Bayes risk, plug-in risk - best monotone risk)."""
-    base = risk_bd(ev)
-    gap = base - best_wrapper_risk(ev)
-    monotone_gap = base - best_monotone_wrapper_risk(ev)
-    return gap, monotone_gap
+    """(plug-in - Bayes, plug-in - best monotone) risk gaps, both >= 0."""
+    plug_in, bayes, monotone = risks(ev)
+    return plug_in - bayes, plug_in - monotone
 
 
 def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
 from .core import GroupedDataset, SeededRng, ValidationError, grouped_from_arrays
-from .decision import DecisionEvalSet, risk_bd, best_wrapper_risk, \
-    best_monotone_wrapper_risk
+from .decision import DecisionEvalSet, risks
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
 
 __all__ = [
@@ -96,10 +95,7 @@ def _one_run(config: SimulationConfig,
     ece = oracle_ece(data)
     wce = lipschitz_wce(data).objective
 
-    ev = DecisionEvalSet(f, mu, config.tau)
-    risk = risk_bd(ev)
-    bayes = best_wrapper_risk(ev)
-    mono = best_monotone_wrapper_risk(ev)
+    risk, bayes, mono = risks(DecisionEvalSet(f, mu, config.tau))
     return SimulationRunRecord(alpha, cutoff, ece, wce, risk, bayes, mono,
                                risk - bayes, risk - mono, run_index, refits)
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import GroupedDataset, SeededRng, ValidationError
+from .core import GroupedDataset, ValidationError
 
 __all__ = [
     "CutoffEstimate",
@@ -24,7 +24,7 @@ __all__ = [
     "binned_ece",
     "oracle_ece",
     "lipschitz_wce",
-    "bv_wce_lower_bound",
+    "bv_wce",
     "effective_support_size",
     "concentration_radius",
 ]
@@ -247,44 +247,52 @@ def _kkt_weights(S: np.ndarray, S_e: float, y: np.ndarray,
     return 1.0 + P - P[steps[np.maximum(k, 0)]]
 
 
-def _random_step_weights(forecasts: np.ndarray, total_variation: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Random step function on the support with TV <= total_variation."""
-    m = len(forecasts)
-    k = int(rng.integers(1, 6))
-    levels = rng.uniform(-1.0, 1.0, size=k + 1)
-    tv = float(np.sum(np.abs(np.diff(levels))))
-    if tv > total_variation:
-        levels = levels * (total_variation / tv)
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=k))
-    idx = np.searchsorted(cuts, forecasts, side="right")
-    return levels[idx]
+def bv_wce(data: GroupedDataset, total_variation: float) -> float:
+    """Exact bounded-variation weighted error V(M): the maximum of
+    sum_j w_j r_j / n over |w_j| <= 1 and sum_j |w_{j+1} - w_j| <= M,
+    for M = total_variation >= 2 (inf allowed).
 
+    At a vertex of this LP every maximal run of equal w sits at +-1 but
+    at most one, whose value a the tight budget row pins. An interior run
+    has equal neighbours (else the TV would not depend on a), so TV =
+    (even) + 2 |L - a|; an end run gives TV = (even) + |L - a|. So a is an
+    integer for even M, and V(k) = phi(k) there, phi(k) being the best
+    r.w over w in {-1, 0, 1}^m with TV(w) <= k; at odd k a may be a half,
+    V(k) = max(phi(k), (phi(k-1) + phi(k+1)) / 2), and V is linear in
+    between (the concave envelope of phi, as Lagrangian duality gives for
+    the totally unimodular LP without the budget row).
 
-def bv_wce_lower_bound(data: GroupedDataset, total_variation: float,
-                       rng: SeededRng, num_samples: int = 200) -> float:
-    """Certified lower bound on the bounded-variation weighted error.
-
-    Evaluates the objective on sampled step weight functions with total
-    variation <= M and range [-1, 1], plus the signed indicator of the
-    argmax interval of the scan (TV <= 2, so always admissible for M >= 2).
+    phi(0..B) is a DP over budget layers b and levels l in {-1, 0, 1}:
+    the best value of w_0..w_j with w_j = l and TV <= b is F[l][j] =
+    l P[j+1] + max_{i <= j} (G[i] - l P[i]), a run at l over groups i..j
+    after the best entry G[i] into l at i (from layer b - |l - l'|, or 0
+    at i = 0), with P the scan's prefix sums. Intervals are priced as in
+    the scan, so bv_wce(data, 2) >= cutoff_error(data).value holds
+    bitwise. B = 2 ceil(M/2), capped at the TV of sign(r) (at least 2),
+    where phi reaches sum |r|; the cost is O(m B).
     """
     if not total_variation >= 2.0:
         raise ValidationError(
             f"total_variation must be >= 2, got {total_variation!r}")
-    r = data.residual_sums / data.n
-    est = cutoff_error(data)
-    best = 0.0
-    if est.argmax_interval is not None:
-        lo, hi = est.argmax_interval
-        ind = np.zeros(len(data))
-        ind[lo:hi + 1] = 1.0
-        best = max(float(np.dot(ind, r)), float(-np.dot(ind, r)))
-    gen = rng.generator()
-    for _ in range(num_samples):
-        w = _random_step_weights(data.forecasts, total_variation, gen)
-        best = max(best, float(np.dot(w, r)))
-    return best
+    signs = np.sign(data.residual_sums[data.residual_sums != 0.0])
+    top = max(2, 2 * int(np.count_nonzero(signs[1:] != signs[:-1])))
+    B = (top if total_variation >= top
+         else 2 * math.ceil(total_variation / 2.0))
+    P = _prefix_sums(data.residual_sums)
+    V = np.empty(B + 1)   # phi(b), then V(b)
+    below = np.full((3, len(P) - 1), -np.inf)   # the layers under b = 0
+    layers = [below, below, below]              # layer k at index k % 3
+    for b in range(B + 1):
+        F = np.empty_like(below)
+        for a, level in enumerate((-1, 0, 1)):
+            prev = [layers[(b - abs(a - c)) % 3][c, :-1]
+                    for c in range(3) if c != a]
+            G = np.concatenate(([0.0], np.maximum(*prev)))
+            F[a] = level * P[1:] + np.maximum.accumulate(G - level * P[:-1])
+        layers[b % 3] = np.maximum(F, layers[(b - 1) % 3])
+        V[b] = layers[b % 3][:, -1].max()
+    V[1::2] = np.maximum(V[1::2], (V[:-1:2] + V[2::2]) / 2.0)
+    return float(np.interp(total_variation, np.arange(B + 1), V)) / data.n
 
 
 def effective_support_size(data: GroupedDataset, gamma: float) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from cutoffcal import (Columns, DecisionEvalSet, GroupedDataset, SeededRng,
                        best_monotone_wrapper_risk, best_wrapper_risk,
-                       bv_wce_lower_bound, certify, cutoff_error, fit_isotonic,
+                       bv_wce, certify, cutoff_error, fit_isotonic,
                        grouped_from_arrays, lipschitz_wce,
                        make_perturbed_constant, make_separation_example,
                        make_staircase, oracle_ece, platt_counterexample,
@@ -122,16 +122,14 @@ def test_criterion_04_metric_sandwich():
 def test_criterion_05_bv_sandwich():
     gen = np.random.default_rng(5005)
     ok = True
-    for k in range(100):
+    for _ in range(100):
         m = int(gen.integers(1, 40))
         t = np.unique(np.round(gen.random(m), 3))
         data = grouped_from_arrays(t, gen.random(len(t)))
         cut = cutoff_error(data).value
         for M in (2.0, 4.0):
-            lb = bv_wce_lower_bound(data, M, SeededRng(5005, k),
-                                    num_samples=50)
-            ok &= cut - 1e-9 <= lb <= (M + 2) * cut + 1e-9
-    report(5, ok, "cutoff <= sampled BV bound <= (M+2)*cutoff, M in {2,4}")
+            ok &= cut - 1e-9 <= bv_wce(data, M) <= (M + 2) * cut + 1e-9
+    report(5, ok, "cutoff <= exact BV error <= (M+2)*cutoff, M in {2,4}")
 
 
 # ---------------------------------------------------------------- 6

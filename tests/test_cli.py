@@ -143,6 +143,18 @@ def test_decide_schema_and_gaps(oracle_csv, tmp_path, schema):
     assert "sign_testing_risk" in obj
 
 
+def test_decide_gaps_nonnegative_on_small_oracle_csv(tmp_path):
+    # priced from cumsum differences, the plug-in rule costs
+    # 0.11875000000000001 here, one ulp above its direct price 0.11875
+    p = tmp_path / "oracle.csv"
+    write_csv(p, [(0.2, 0, 0.25), (0.4, 1, 0.35), (0.7, 1, 0.8),
+                  (0.9, 0, 0.85)], oracle=True)
+    code, obj = run_json(["decide", str(p), "--tau", "0.5"], tmp_path)
+    assert code == 0
+    assert obj["gap"] >= 0.0 and obj["monotone_gap"] >= 0.0
+    assert obj["monotone_risk"] <= obj["risk"]
+
+
 def test_decide_requires_oracle_column(empirical_csv, capsys):
     assert main(["decide", str(empirical_csv), "--tau", "0.35"]) == 2
 
@@ -272,6 +284,16 @@ def test_stdout_emission(empirical_csv, capsys):
 def test_bad_arguments_exit_2(args, empirical_csv, capsys):
     assert main([a.format(csv=empirical_csv) for a in args]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_byte_order_mark_header(empirical_csv, tmp_path, capsysbinary):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + empirical_csv.read_bytes())
+    outs = []
+    for path in (empirical_csv, bom):
+        assert main(["audit", str(path)]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoffcal import (DecisionEvalSet, ValidationError, DiscreteMixture,
                        best_monotone_wrapper_risk, best_wrapper_risk, loss_bd,
                        make_perturbed_constant, risk_bd, risk_gaps, risk_st,
-                       schervish_loss)
+                       risks, schervish_loss)
 
 
 def test_loss_bd_corners():
@@ -85,6 +87,22 @@ def test_gaps_nonnegative_against_injective_forecasts():
         assert gap >= monotone_gap - 1e-12
 
 
+grid = st.integers(0, 100).map(lambda k: k / 100)
+
+
+@given(st.lists(st.tuples(grid, grid, st.integers(1, 3)), min_size=1,
+                max_size=40), grid)
+@settings(max_examples=300, deadline=None)
+def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
+    t, mu, w = map(np.array, zip(*rows))
+    ev = DecisionEvalSet(t, mu, tau, weights=w)
+    risk, bayes, monotone = risks(ev)
+    assert risk == risk_bd(ev)
+    assert bayes <= monotone + 1e-12
+    assert risk_gaps(ev) == (risk - bayes, risk - monotone)
+    assert min(risk_gaps(ev)) >= 0.0
+
+
 def test_risk_st_termwise():
     t = np.array([0.2, 0.6, 0.5, 0.9])
     y = np.array([1.0, 0.0, 0.5, 0.2])
@@ -141,6 +159,10 @@ def test_mixture_weights_must_sum_to_one():
     (((float("nan"), 1.0),), "taus"),
     (((-0.1, 0.5), (0.5, 0.5)), "taus"),
     ((), "weights"),
+    (((0.5, 0.2, 0.3),), "pairs"),
+    (((0.25, 0.5), (0.75,)), "pairs"),
+    (((0.5,),), "pairs"),
+    ((0.5, 1.0), "pairs"),
 ])
 def test_mixture_rejects_impossible_atoms(atoms, match):
     with pytest.raises(ValidationError, match=match):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from cutoffcal import (GroupedDataset, SeededRng, ValidationError,
-                       binned_ece, bv_wce_lower_bound, cutoff_error,
+from cutoffcal import (GroupedDataset, ValidationError, binned_ece, bv_wce,
+                       cutoff_error,
                        effective_support_size, grouped_from_arrays,
                        lipschitz_wce, make_staircase, oracle_ece)
 from cutoffcal.metrics import _prefix_sums, concentration_radius
@@ -534,28 +535,102 @@ def test_lipschitz_wce_certificate_on_equal_residuals():
 
 def test_bv_lower_bound_sandwich():
     rng = np.random.default_rng(9)
-    for k in range(20):
+    for _ in range(20):
         data = random_grouped(rng, max_groups=50)
         cut = cutoff_error(data).value
         for M in (2.0, 4.0):
-            lb = bv_wce_lower_bound(data, M, SeededRng(100 + k), num_samples=50)
+            lb = bv_wce(data, M)
             assert lb >= cut - 1e-9
             assert lb <= (M + 2) * cut + 1e-9
 
 
 def test_bv_lower_bound_zero_residuals():
     data = grouped_from_arrays([0.1, 0.9], [0.1, 0.9])
-    assert bv_wce_lower_bound(data, 2.0, SeededRng(0)) == pytest.approx(0.0,
-                                                                        abs=1e-12)
+    assert bv_wce(data, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bv_lower_bound_rejects_small_tv():
     data = grouped_from_arrays([0.5], [1.0])
     with pytest.raises(ValueError):
-        bv_wce_lower_bound(data, 1.5, SeededRng(0))
+        bv_wce(data, 1.5)
     for tv in (1.0, float("nan")):
         with pytest.raises(ValidationError):
-            bv_wce_lower_bound(data, tv, SeededRng(0))
+            bv_wce(data, tv)
+
+
+def unit_chain(r, n=1.0):
+    m = len(r)
+    return GroupedDataset(np.arange(m) / m, r, np.ones(m), np.zeros(m), n=n)
+
+
+def test_bv_wce_matches_brute_force():
+    # even budgets: some optimum has every weight in {-1, 0, 1}
+    rng = np.random.default_rng(11)
+    for case in range(150):
+        m = int(rng.integers(1, 9))
+        r = (rng.normal(size=m) if case % 2
+             else np.round(rng.normal(0.0, 2.0, m)))
+        n = float(rng.integers(1, 5))
+        ws = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+        tv = np.abs(np.diff(ws, axis=1)).sum(axis=1)
+        for M in (2, 4, 6):
+            best = max(0.0, float(np.max(ws[tv <= M] @ r))) / n
+            tol = 1e-9 * max(1.0, float(np.sum(np.abs(r))) / n)
+            assert abs(bv_wce(unit_chain(r, n), M) - best) <= tol, (r, M)
+
+
+def highs_bv(r, M):
+    """max r.w over |w| <= 1 and sum_j u_j <= M with u_j >= |w_{j+1} - w_j|,
+    solved by HiGHS with r scaled and tolerances tightened as in
+    highs_wce."""
+    m, scale = len(r), float(np.max(np.abs(r)))
+    if scale == 0.0:
+        return 0.0
+    D = sparse.diags([np.ones(m - 1), -np.ones(m - 1)], [0, 1],
+                     shape=(m - 1, m))
+    eye = sparse.identity(m - 1)
+    A = sparse.vstack([sparse.hstack([D, -eye]), sparse.hstack([-D, -eye]),
+                       sparse.hstack([sparse.csr_matrix((1, m)),
+                                      np.ones((1, m - 1))])]).tocsc()
+    res = linprog(np.concatenate([-r / scale, np.zeros(m - 1)]), A_ub=A,
+                  b_ub=np.r_[np.zeros(2 * (m - 1)), M],
+                  bounds=[(-1.0, 1.0)] * m + [(0.0, None)] * (m - 1),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun * scale
+
+
+def test_bv_wce_matches_highs():
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        m = int(rng.integers(2, 301 if case % 6 == 0 else 30))
+        r = rng.normal(size=m)
+        if case % 3 == 1:   # integer residuals: many tied partial sums
+            r = np.round(rng.normal(0.0, 2.0, m))
+        n = float(rng.integers(1, 10))
+        tol = 1e-9 * max(1.0, float(np.sum(np.abs(r))) / n)
+        for M in (2, 2.5, 3, 4, 6):
+            assert abs(bv_wce(unit_chain(r, n), M) - highs_bv(r, M) / n) \
+                <= tol, (case, M)
+
+
+def test_bv_wce_unbounded_is_oracle_ece():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        data = random_grouped(rng, max_groups=300)
+        assert bv_wce(data, math.inf) == pytest.approx(
+            oracle_ece(data), abs=1e-12)
+
+
+@given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0, -1.0]),
+                min_size=1, max_size=60),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_bv_wce_at_two_bounds_cutoff_bitwise(r, n):
+    data = unit_chain(np.array(r), n)
+    assert bv_wce(data, 2.0) >= cutoff_error(data).value
 
 
 def test_effective_support_size():
