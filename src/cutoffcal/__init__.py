@@ -10,10 +10,8 @@ from .metrics import (CutoffEstimate, LipschitzWeights, binned_ece, bv_wce,
 from .calibrate import (CalibratorMap, PlattDivergence, apply_map,
                         default_epsilon, fit_isotonic, fit_modified_platt,
                         fit_platt)
-from .decision import (DecisionEvalSet, DiscreteMixture,
-                       best_monotone_wrapper_risk, best_wrapper_risk, loss_bd,
-                       risk_bd, risk_gaps, risk_st, risks,
-                       schervish_loss)
+from .decision import (DecisionEvalSet, DiscreteMixture, loss_bd, risk_st,
+                       risks, schervish_loss)
 from .certify import CertificationVerdict, certify, min_admissible_c
 from .experiments import (SimulationConfig, SimulationRunRecord,
                           make_perturbed_constant, make_separation_example,

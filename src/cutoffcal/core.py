@@ -35,6 +35,14 @@ def _check_unit(name: str, values) -> None:
         raise ValidationError(f"{name} must be finite and in [0, 1]")
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValidationError unless value is a (numpy) integer >= low."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValidationError(f"{name} must be an integer >= {low}, "
+                              f"got {value!r}")
+
+
 def _check_rows(forecasts, **columns) -> list:
     """forecasts and the named per-row columns as float arrays;
     ValidationError unless they are 1-D, equally long, non-empty and in
@@ -75,11 +83,16 @@ class SeededRng:
     """Deterministic random stream identified by (seed, stream_id).
 
     Identical (seed, stream_id) pairs yield identical streams across runs
-    and platforms (numpy PCG64 via SeedSequence).
+    and platforms (numpy PCG64 via SeedSequence). Both must be integers
+    >= 0, else ValidationError.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        _check_int("seed", self.seed, 0)
+        _check_int("stream_id", self.stream_id, 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -94,18 +107,24 @@ class GroupedDataset:
     of w * (target - forecast), of the masses w and of w * target. Targets
     are outcomes or conditional means; masses are sample counts for rows
     but may be fractional for analytic atoms. n is the total mass.
+    ValidationError unless the forecasts are 1-D, in [0, 1] and strictly
+    increasing, the sums finite and one per forecast, and 0 < n < inf.
     """
 
     __slots__ = ("forecasts", "residual_sums", "counts", "target_sums", "n")
 
     def __init__(self, forecasts, residual_sums, counts, target_sums, n):
-        self.forecasts = np.asarray(forecasts, dtype=float)
+        (self.forecasts,) = _check_rows(forecasts)
         self.residual_sums = np.asarray(residual_sums, dtype=float)
         self.counts = np.asarray(counts, dtype=float)
         self.target_sums = np.asarray(target_sums, dtype=float)
         self.n = n
-        if len(self.forecasts) == 0:
-            raise ValidationError("empty dataset")
+        for a in (self.residual_sums, self.counts, self.target_sums):
+            if a.shape != self.forecasts.shape or not np.all(np.isfinite(a)):
+                raise ValidationError("group sums must be finite, one per "
+                                      "forecast")
+        if not 0 < n < math.inf:
+            raise ValidationError(f"total mass n ({n!r}) must be in (0, inf)")
         if np.any(np.diff(self.forecasts) <= 0):
             raise ValidationError("group forecasts must be strictly increasing")
 

@@ -9,21 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import (ValidationError, _check_rows, _check_unit, _check_weights,
                    _normalised_weights)
+from .metrics import _prefix_sums
 
 __all__ = [
     "DecisionEvalSet",
     "DiscreteMixture",
     "loss_bd",
-    "risk_bd",
-    "best_wrapper_risk",
-    "best_monotone_wrapper_risk",
-    "risk_gaps",
     "risks",
     "risk_st",
     "schervish_loss",
@@ -53,10 +50,6 @@ class DecisionEvalSet:
         object.__setattr__(self, "weights",
                            _normalised_weights(self.weights, t.shape))
 
-    @property
-    def n_eval(self) -> int:
-        return len(self.forecasts)
-
 
 @dataclass(frozen=True)
 class DiscreteMixture:
@@ -82,61 +75,36 @@ def loss_bd(y: float, yhat: int, tau: float) -> float:
     return tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
 
 
-def risk_bd(ev: DecisionEvalSet,
-            rule: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
-    """Plug-in risk of a forecast-threshold rule (default 1{t >= tau})."""
-    if rule is None:
-        actions = (ev.forecasts >= ev.tau).astype(float)
-    else:
-        actions = np.asarray(rule(ev.forecasts), dtype=float)
-    return float(np.dot(ev.weights, loss_bd(ev.means, actions, ev.tau)))
-
-
 def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
-    """(plug-in, Bayes, best monotone) risks from one table of row costs:
-    tau (1 - mean) to act, (1 - tau) mean to pass. risk_bd prices the
-    plug-in rule with one cost per row and Bayes takes the smaller, summed
-    alike, so Bayes <= plug-in in floating point. The monotone risk is the
-    cheapest rule 1{t >= tau'} or 1{t <= tau'}, tau' in {0, forecasts...,
-    1}, from sorted prefix sums, with the plug-in rule at its own price.
+    """(plug-in, Bayes, best monotone) risks, the one risk pricer.
+
+    Acting costs tau (1 - mean) and passing (1 - tau) mean, exactly
+    mean - tau more. Plug-in acts on 1{t >= tau}; Bayes (the best wrapper
+    for injective t) takes the cheaper action per row, summed alike, so
+    Bayes <= plug-in in floating point. Monotone rules are 1{t >= tau'}
+    and 1{t <= tau'}, tau' in {0, forecasts..., 1}. Sort rows by forecast;
+    let P[k] be the prefix sums of w (mean - tau), A the cost of acting on
+    all rows (both compensated) and K = A + P[n] that of passing. Acting
+    on all but the k lowest forecasts costs A + P[k], acting on only those
+    k costs K - P[k], k at the boundaries between runs of tied forecasts.
+    1{t >= tau'} acts on t = 1, so k = n is dropped when max t = 1;
+    1{t <= tau'} acts on t = 0, so k = 0 is dropped when min t = 0. The
+    exact minimum lies between Bayes and plug-in and is clamped there.
     """
-    act, skip = loss_bd(ev.means, 1, ev.tau), loss_bd(ev.means, 0, ev.tau)
-    plug_in = risk_bd(ev)
-    bayes = float(np.dot(ev.weights, np.minimum(act, skip)))
-    order = np.argsort(ev.forecasts, kind="stable")
-    t = ev.forecasts[order]
-    # prefix[k] = cost over the k smallest forecasts
-    act_pre = np.concatenate(([0.0], np.cumsum((ev.weights * act)[order])))
-    skip_pre = np.concatenate(([0.0], np.cumsum((ev.weights * skip)[order])))
-    cands = np.unique(np.concatenate(([0.0, 1.0], t)))
-    # >=-rule at tau': act on t >= tau'  -> k = #{t < tau'}
-    k = np.searchsorted(t, cands, side="left")
-    risks_ge = skip_pre[k] + (act_pre[-1] - act_pre[k])
-    # <=-rule at tau': act on t <= tau'  -> k = #{t <= tau'}
-    k = np.searchsorted(t, cands, side="right")
-    risks_le = act_pre[k] + (skip_pre[-1] - skip_pre[k])
-    monotone = min(float(risks_ge.min()), float(risks_le.min()), plug_in)
+    t, mu, w, tau = ev.forecasts, ev.means, ev.weights, ev.tau
+    act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
+    plug_in = float(np.dot(w, np.where(t >= tau, act, skip)))
+    bayes = float(np.dot(w, np.minimum(act, skip)))
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    prefix = _prefix_sums((w * (mu - tau))[order])
+    k = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1], [True])))
+    ge = k[:-1] if t[-1] == 1.0 else k
+    le = k[1:] if t[0] == 0.0 else k
+    acting = _prefix_sums(w * act)[-1]
+    best = acting + min(prefix[ge].min(), prefix[-1] - prefix[le].max())
+    monotone = min(max(float(best), bayes), plug_in)
     return plug_in, bayes, monotone
-
-
-def best_wrapper_risk(ev: DecisionEvalSet) -> float:
-    """Plug-in Bayes risk: act on 1{mean >= tau}.
-
-    Valid as the infimum over arbitrary wrappers when the forecast is
-    injective on the evaluation set (the oracle simulation regime).
-    """
-    return risks(ev)[1]
-
-
-def best_monotone_wrapper_risk(ev: DecisionEvalSet) -> float:
-    """Exact minimum risk over monotone threshold rules (see risks)."""
-    return risks(ev)[2]
-
-
-def risk_gaps(ev: DecisionEvalSet) -> Tuple[float, float]:
-    """(plug-in - Bayes, plug-in - best monotone) risk gaps, both >= 0."""
-    plug_in, bayes, monotone = risks(ev)
-    return plug_in - bayes, plug_in - monotone
 
 
 def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
@@ -152,6 +120,8 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
 
 
 def schervish_loss(mixture: DiscreteMixture, y: float, p: float) -> float:
-    """Proper scoring rule assembled as a mixture of threshold losses."""
+    """Proper scoring rule assembled as a mixture of threshold losses;
+    ValidationError unless y and p are in [0, 1]."""
+    _check_unit(f"y ({y!r}) and p ({p!r})", [y, p])
     return math.fsum(weight * loss_bd(y, int(p >= tau), tau)
                      for tau, weight in mixture.atoms)

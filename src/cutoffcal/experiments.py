@@ -15,7 +15,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
-from .core import GroupedDataset, SeededRng, ValidationError, grouped_from_arrays
+from .core import (GroupedDataset, SeededRng, ValidationError, _check_int,
+                   _check_unit, grouped_from_arrays)
 from .decision import DecisionEvalSet, risks
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
 
@@ -39,10 +40,9 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if min(self.runs, self.n_train, self.n_eval) < 1:
-            raise ValidationError("counts must be >= 1")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValidationError("tau must be in [0,1]")
+        for name in ("runs", "n_train", "n_eval"):
+            _check_int(name, getattr(self, name), 1)
+        _check_unit(f"tau ({self.tau!r})", self.tau)
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ def make_staircase(N: int) -> List[Tuple[float, float, float]]:
     mass centroids, which reproduces every interval integral of the
     continuous construction exactly; the scan supremum is 1/(8 N^2).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int("N", N, 1)
     atoms = []
     for i in range(1, N + 1):
         mean = (i - 0.5) / N
@@ -137,7 +136,7 @@ def make_separation_example(b: float) -> List[Tuple[float, float, float]]:
     to the nearest calibrated forecast is 0.5 b.
     """
     if not (0.0 < b <= 1.0):
-        raise ValueError("b must be in (0,1]")
+        raise ValidationError(f"b must be in (0, 1], got {b!r}")
     return [(0.5 * (1.0 - b), 1.0, 0.5), (0.5 * (1.0 + b), 0.0, 0.5)]
 
 
@@ -149,7 +148,7 @@ def make_perturbed_constant(epsilon: float) -> List[Tuple[float, float, float]]:
     Exact ECE = 3/8 + eps while the Lipschitz weighted error is <= 2*eps.
     """
     if not (0.0 < epsilon < 0.25):
-        raise ValueError("epsilon must be in (0, 0.25)")
+        raise ValidationError(f"epsilon must be in (0, 0.25), got {epsilon!r}")
     return [(0.75 - epsilon, 1.0, 0.75), (0.75 + epsilon, 0.0, 0.25)]
 
 

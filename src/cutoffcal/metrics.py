@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import GroupedDataset, ValidationError
+from .core import GroupedDataset, ValidationError, _check_int
 
 __all__ = [
     "CutoffEstimate",
@@ -101,10 +101,7 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     be near zero while the unbinned forecast has a large interval-supremum
     error (see the staircase construction in the experiments module).
     """
-    if (isinstance(num_bins, bool)
-            or not isinstance(num_bins, (int, np.integer)) or num_bins < 1):
-        raise ValidationError(
-            f"num_bins must be an integer >= 1, got {num_bins!r}")
+    _check_int("num_bins", num_bins, 1)
     # sorted groups fall into nondecreasing bins: sum each bin's run
     b = np.clip(np.ceil(data.forecasts * num_bins), 1, num_bins)
     start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from cutoffcal import (Columns, DecisionEvalSet, GroupedDataset, SeededRng,
-                       best_monotone_wrapper_risk, best_wrapper_risk,
                        bv_wce, certify, cutoff_error, fit_isotonic,
                        grouped_from_arrays, lipschitz_wce,
                        make_perturbed_constant, make_separation_example,
                        make_staircase, oracle_ece, platt_counterexample,
-                       risk_bd, run_simulation, SimulationConfig, apply_map)
+                       risks, run_simulation, SimulationConfig, apply_map)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _certified_wce
 from cutoffcal.metrics import _prefix_sums, concentration_radius
@@ -147,7 +146,8 @@ def test_criterion_06_simulation_inequalities():
     ev = DecisionEvalSet(np.array([a[0] for a in atoms]),
                          np.array([a[1] for a in atoms]), 0.75,
                          weights=np.array([a[2] for a in atoms]))
-    gap = risk_bd(ev) - best_wrapper_risk(ev)
+    risk, bayes, _ = risks(ev)
+    gap = risk - bayes
     ok &= gap == 0.375
     ok &= elapsed < 180
     report(6, ok,

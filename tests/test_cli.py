@@ -182,7 +182,8 @@ def test_decide_empty_input_exit_2(tmp_path, capsys):
 
 
 def test_nan_never_reaches_output(oracle_csv, monkeypatch, capsys):
-    monkeypatch.setattr("cutoffcal.decision.risk_bd", lambda ev: float("nan"))
+    monkeypatch.setattr("cutoffcal.decision.risks",
+                        lambda ev: (float("nan"), 0.0, 0.0))
     assert main(["decide", str(oracle_csv), "--tau", "0.35"]) == 3
     captured = capsys.readouterr()
     assert "NaN" not in captured.out
@@ -209,6 +210,19 @@ def test_simulate_csv_deterministic(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[0]["gap"]) >= -1e-12
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--runs", "1", "--n-eval", "10", "--seed", "-1"],
+    ["certify", None, "--c", "4", "--shuffle-seed", "-3"],
+])
+def test_negative_seed_exit_2(args, empirical_csv, capsys):
+    args = [str(empirical_csv) if a is None else a for a in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer >= 0" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_file_and_stdout_bytes_agree(tmp_path, capsysbinary):

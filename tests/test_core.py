@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoffcal import (Columns, GroupedDataset, ValidationError, core,
-                       grouped_from_arrays, load_columns)
+from cutoffcal import (Columns, GroupedDataset, SeededRng, ValidationError,
+                       core, cutoff_error, grouped_from_arrays, load_columns)
 
 
 def groups(data):
@@ -294,6 +294,38 @@ def test_pooling_rejects_bad_values(bad, where):
 def test_pooling_rejects_length_mismatch():
     with pytest.raises(ValidationError, match="targets"):
         grouped_from_arrays([0.2, 0.5], [0.1])
+
+
+@pytest.mark.parametrize("args", [(-1,), (2.5,), (0, -1), (True,), ("1",)])
+def test_seeded_rng_rejects_bad_seeds(args):
+    with pytest.raises(ValidationError):
+        SeededRng(*args)
+
+
+def test_seeded_rng_accepts_numpy_integers():
+    a = SeededRng(np.int64(3), np.uint8(1)).generator().random()
+    assert a == SeededRng(3, 1).generator().random()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(forecasts=[0.1, math.nan]),
+    dict(forecasts=[0.1, 2.0]),
+    dict(forecasts=[[0.1, 0.2]]),
+    dict(forecasts=[]),
+    dict(residual_sums=[0.3]),
+    dict(residual_sums=[0.3, math.inf]),
+    dict(counts=[1.0, math.nan]),
+    dict(target_sums=[[0.4, 0.2]]),
+    dict(n=0),
+    dict(n=math.inf),
+    dict(n=math.nan),
+])
+def test_grouped_dataset_rejects_impossible_input(kwargs):
+    args = dict(forecasts=[0.1, 0.2], residual_sums=[0.3, -0.1],
+                counts=[1.0, 1.0], target_sums=[0.4, 0.1], n=2)
+    cutoff_error(GroupedDataset(**args))  # the unmodified args are valid
+    with pytest.raises(ValidationError):
+        GroupedDataset(**{**args, **kwargs})
 
 
 def exact_group_sums(t, v):

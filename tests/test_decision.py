@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoffcal import (DecisionEvalSet, ValidationError, DiscreteMixture,
-                       best_monotone_wrapper_risk, best_wrapper_risk, loss_bd,
-                       make_perturbed_constant, risk_bd, risk_gaps, risk_st,
-                       risks, schervish_loss)
+from cutoffcal import (DecisionEvalSet, GroupedDataset, ValidationError,
+                       DiscreteMixture, cutoff_error, loss_bd,
+                       make_perturbed_constant, risk_st, risks,
+                       schervish_loss)
 
 
 def test_loss_bd_corners():
@@ -26,14 +26,7 @@ def test_risk_bd_direct_sum():
     ev = DecisionEvalSet(t, mu, 0.35)
     direct = math.fsum(loss_bd(m, int(f >= 0.35), 0.35)
                        for f, m in zip(t, mu)) / 30
-    assert risk_bd(ev) == pytest.approx(direct, abs=1e-12)
-
-
-def test_risk_bd_custom_rule():
-    ev = DecisionEvalSet([0.2, 0.8], [0.9, 0.1], 0.5)
-    always = risk_bd(ev, rule=lambda t: np.ones_like(t))
-    direct = 0.5 * (loss_bd(0.9, 1, 0.5) + loss_bd(0.1, 1, 0.5))
-    assert always == pytest.approx(direct)
+    assert risks(ev)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_perturbed_constant_golden_gap():
@@ -44,9 +37,10 @@ def test_perturbed_constant_golden_gap():
     mu = np.array([a[1] for a in atoms])
     w = np.array([a[2] for a in atoms])
     ev = DecisionEvalSet(t, mu, 0.75, weights=w)
-    assert risk_bd(ev) == pytest.approx(0.375, abs=1e-15)
-    assert best_wrapper_risk(ev) == pytest.approx(0.0, abs=1e-15)
-    gap, monotone_gap = risk_gaps(ev)
+    risk, bayes, monotone = risks(ev)
+    assert risk == pytest.approx(0.375, abs=1e-15)
+    assert bayes == pytest.approx(0.0, abs=1e-15)
+    gap, monotone_gap = risk - bayes, risk - monotone
     assert gap == pytest.approx(0.375, abs=1e-15)
     assert monotone_gap == pytest.approx(0.375, abs=1e-15)
 
@@ -65,12 +59,16 @@ def monotone_oracle(ev):
 
 
 def test_best_monotone_matches_enumeration():
+    # 1{t >= tau'} acts on a forecast of 1 and 1{t <= tau'} on a forecast of
+    # 0, so with both present no monotone rule passes on every row (cost 0)
+    ev = DecisionEvalSet([0.0, 1.0], [0.0, 0.0], 0.5)
+    assert risks(ev)[2] == monotone_oracle(ev) == 0.25
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(1, 51))
         ev = DecisionEvalSet(np.round(rng.random(n), 2), rng.random(n),
                              float(rng.random()), weights=rng.random(n) + 0.1)
-        fast = best_monotone_wrapper_risk(ev)
+        fast = risks(ev)[2]
         assert fast == pytest.approx(monotone_oracle(ev), abs=1e-12)
 
 
@@ -80,7 +78,8 @@ def test_gaps_nonnegative_against_injective_forecasts():
         n = int(rng.integers(2, 200))
         t = np.unique(rng.random(n))
         ev = DecisionEvalSet(t, rng.random(len(t)), float(rng.random()))
-        gap, monotone_gap = risk_gaps(ev)
+        risk, bayes, monotone = risks(ev)
+        gap, monotone_gap = risk - bayes, risk - monotone
         assert gap >= -1e-12
         assert monotone_gap >= -1e-12
         # monotone rules are a subset of arbitrary wrappers
@@ -97,10 +96,38 @@ def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
     t, mu, w = map(np.array, zip(*rows))
     ev = DecisionEvalSet(t, mu, tau, weights=w)
     risk, bayes, monotone = risks(ev)
-    assert risk == risk_bd(ev)
-    assert bayes <= monotone + 1e-12
-    assert risk_gaps(ev) == (risk - bayes, risk - monotone)
-    assert min(risk_gaps(ev)) >= 0.0
+    actions = (ev.forecasts >= tau).astype(float)
+    assert risk == float(np.dot(ev.weights, loss_bd(ev.means, actions, tau)))
+    assert bayes <= monotone <= risk
+    assert min(risk - bayes, risk - monotone) >= 0.0
+
+
+@given(st.lists(st.tuples(grid, grid, st.integers(1, 3)), min_size=1,
+                max_size=40), grid)
+@settings(max_examples=300, deadline=None)
+def test_actionability_inequalities_on_tied_grids(rows, tau):
+    """The plug-in rule loses at most the cutoff error to any rule
+    1{t >= tau'}, at most twice it to the best monotone rule, and at most
+    the row-level ECE sum w |mean - t| to Bayes.
+
+    Passing costs mean - tau more than acting, and two rules differ on an
+    interval of forecasts. Below the plug-in cut (t < tau) mean - tau <=
+    mean - t; at or above it, tau - mean <= t - mean. So each interval the
+    rules disagree on adds at most its residual sum, which is at most the
+    cutoff; a 1{t <= tau'} rule disagrees on a prefix and a suffix, hence
+    2 cut. Against Bayes the same bound holds row by row.
+    """
+    t, mu, w = map(np.array, zip(*rows))
+    ev = DecisionEvalSet(t, mu, tau, weights=w)
+    risk, bayes, monotone = risks(ev)
+    cut = cutoff_error(GroupedDataset.from_atoms(
+        np.column_stack([t, mu, ev.weights]))).value
+    act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
+    for tp in np.concatenate(([0.0, 1.0, tau], t)):
+        rule = float(np.dot(ev.weights, np.where(t >= tp, act, skip)))
+        assert risk - rule <= cut + 1e-12
+    assert risk - monotone <= 2 * cut + 1e-12
+    assert risk - bayes <= float(np.dot(ev.weights, np.abs(mu - t))) + 1e-12
 
 
 def test_risk_st_termwise():
@@ -144,6 +171,14 @@ def test_schervish_truthful_reporting_not_worse():
             other = (q * schervish_loss(mix, 1.0, p)
                      + (1 - q) * schervish_loss(mix, 0.0, p))
             assert truth <= other + 1e-12
+
+
+@pytest.mark.parametrize("y, p", [(3.0, 0.2), (0.5, float("nan")),
+                                  (-0.1, 0.5), (0.5, 1.5), (float("inf"), 0.5)])
+def test_schervish_rejects_out_of_range(y, p):
+    mix = DiscreteMixture(((0.25, 0.5), (0.75, 0.5)))
+    with pytest.raises(ValidationError):
+        schervish_loss(mix, y, p)
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -4,10 +4,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cutoffcal import (GroupedDataset, SimulationConfig, binned_ece,
-                       cutoff_error, lipschitz_wce, make_perturbed_constant,
-                       make_separation_example, make_staircase, oracle_ece,
-                       platt_counterexample, run_simulation)
+from cutoffcal import (GroupedDataset, SimulationConfig, ValidationError,
+                       binned_ece, cutoff_error, lipschitz_wce,
+                       make_perturbed_constant, make_separation_example,
+                       make_staircase, oracle_ece, platt_counterexample,
+                       run_simulation)
 from cutoffcal.calibrate import _sigmoid
 from cutoffcal.experiments import _conditional_mean, _rescaled_atoms
 
@@ -41,12 +42,15 @@ def test_perturbed_constant_exact_values():
 
 
 def test_construction_input_validation():
-    with pytest.raises(ValueError):
-        make_staircase(0)
-    with pytest.raises(ValueError):
-        make_separation_example(0.0)
-    with pytest.raises(ValueError):
-        make_perturbed_constant(0.3)
+    for bad in (0, 2.5, -1, True):
+        with pytest.raises(ValidationError):
+            make_staircase(bad)
+    for bad in (0.0, math.nan, 1.5):
+        with pytest.raises(ValidationError):
+            make_separation_example(bad)
+    for bad in (0.3, 0.0, math.nan):
+        with pytest.raises(ValidationError):
+            make_perturbed_constant(bad)
 
 
 def test_conditional_mean_shape():
@@ -151,3 +155,9 @@ def test_config_validation():
         SimulationConfig(runs=0)
     with pytest.raises(ValueError):
         SimulationConfig(tau=1.5)
+    for bad in (dict(runs=2.5), dict(n_train=0), dict(n_eval=1e3),
+                dict(tau=math.nan)):
+        with pytest.raises(ValidationError):
+            SimulationConfig(**bad)
+    with pytest.raises(ValidationError):
+        run_simulation(SimulationConfig(runs=1, n_eval=10, master_seed=-1))
