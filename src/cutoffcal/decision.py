@@ -80,21 +80,23 @@ def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
 
     Acting costs tau (1 - mean) and passing (1 - tau) mean, exactly
     mean - tau more. Plug-in acts on 1{t >= tau}; Bayes (the best wrapper
-    for injective t) takes the cheaper action per row, summed alike, so
-    Bayes <= plug-in in floating point. Monotone rules are 1{t >= tau'}
-    and 1{t <= tau'}, tau' in {0, forecasts..., 1}. Sort rows by forecast;
-    let P[k] be the prefix sums of w (mean - tau), A the cost of acting on
-    all rows (both compensated) and K = A + P[n] that of passing. Acting
-    on all but the k lowest forecasts costs A + P[k], acting on only those
-    k costs K - P[k], k at the boundaries between runs of tied forecasts.
-    1{t >= tau'} acts on t = 1, so k = n is dropped when max t = 1;
-    1{t <= tau'} acts on t = 0, so k = 0 is dropped when min t = 0. The
-    exact minimum lies between Bayes and plug-in and is clamped there.
+    for injective t) takes the cheaper action per row. Both are pairwise
+    sums of one length (np.dot's order would follow the BLAS thread
+    count), so Bayes <= plug-in in floating point. Monotone rules are
+    1{t >= tau'} and 1{t <= tau'}, tau' in {0, forecasts..., 1}. Sort rows
+    by forecast; let P[k] be the prefix sums of w (mean - tau), A the cost
+    of acting on all rows (both compensated) and K = A + P[n] that of
+    passing. Acting on all but the k lowest forecasts costs A + P[k],
+    acting on only those k costs K - P[k], k at the boundaries between
+    runs of tied forecasts. 1{t >= tau'} acts on t = 1, so k = n is
+    dropped when max t = 1; 1{t <= tau'} acts on t = 0, so k = 0 is
+    dropped when min t = 0. The exact minimum lies between Bayes and
+    plug-in and is clamped there.
     """
     t, mu, w, tau = ev.forecasts, ev.means, ev.weights, ev.tau
     act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
-    plug_in = float(np.dot(w, np.where(t >= tau, act, skip)))
-    bayes = float(np.dot(w, np.minimum(act, skip)))
+    plug_in = float(np.sum(w * np.where(t >= tau, act, skip)))
+    bayes = float(np.sum(w * np.minimum(act, skip)))
     order = np.argsort(t, kind="stable")
     t = t[order]
     prefix = _prefix_sums((w * (mu - tau))[order])
@@ -116,7 +118,7 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     w = _normalised_weights(weights, t.shape)
     over = (y - ystar) * (t <= ystar) * (y > ystar)
     under = (ystar - y) * (t > ystar) * (y <= ystar)
-    return float(np.dot(w, over + under))
+    return float(np.sum(w * (over + under)))
 
 
 def schervish_loss(mixture: DiscreteMixture, y: float, p: float) -> float:

@@ -155,22 +155,17 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
     chains. The rounding moves each constraint by at most 2^-51 and the
     optimum by at most 2^-51 sum|r|.
     """
-    m = len(data)
     r = data.residual_sums / data.n
-    if m == 1:
-        w = np.array([1.0 if r[0] >= 0 else -1.0])
-        return LipschitzWeights(w, abs(float(r[0])), 0.0)
-
     d = np.diff(np.rint(data.forecasts * 2.0 ** 51)) / 2.0 ** 51
     S = _prefix_sums(r)[1:]
     sign = -1.0 if S[-1] < 0 else 1.0
     S, S_e = sign * S[:-1], sign * S[-1]
     y = _isotonic_l1(np.clip(S, 0.0, S_e), d)
-    w = sign * _kkt_weights(S, S_e, y, d)
+    w = sign * _kkt_weights(S, y, d)
     gap = abs(S_e + _prefix_sums(d * np.abs(S - y))[-1]
               - _prefix_sums(w * r)[-1])
-    primal_viol = max(0.0, float(np.max(np.abs(np.diff(w))
-                                        - np.diff(data.forecasts))),
+    slack = np.abs(np.diff(w)) - np.diff(data.forecasts)
+    primal_viol = max(float(np.max(slack, initial=0.0)),
                       float(np.max(np.abs(w)) - 1.0))
     return LipschitzWeights(w, float(np.dot(w, r)), max(primal_viol, gap))
 
@@ -211,37 +206,26 @@ def _isotonic_l1(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return vals[lo]
 
 
-def _kkt_weights(S: np.ndarray, S_e: float, y: np.ndarray,
-                 d: np.ndarray) -> np.ndarray:
+def _kkt_weights(S: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Weights g with r.g = S_e + sum_j d_j |S_j - y_j| (for the flipped r).
 
-    g_{j+1} = g_j + d_j s_j with s_j = sign(y_j - S_j), and g = 1 wherever
-    y steps up (y_{-1} = 0, y_{m-1} = S_e); summation by parts then gives
-    the dual value. A tie y_j = S_j takes s_j = +1 before the first step
-    and -1 after the last; inside a block of equal y between two steps,
-    ties start at -1 and are raised from the right until the block's
-    steps sum to 0. The optimality of y keeps every g in [-1, 1]. With no
-    step at all (S_e = 0, y = 0), g = P - max P for the prefix sums P of
-    d_j s_j. Every entry is an exact multiple of 2^-51.
+    Complementary slackness asks for g = 1 wherever y steps up
+    (y_{-1} = 0, y_{m-1} = S_e) and g_{j+1} - g_j = e_j = d_j sign(y_j - S_j)
+    wherever y_j != S_j; a tie y_j = S_j allows any step in [-d_j, d_j].
+    Let U and L be the prefix sums (with a leading 0) of the largest and
+    the smallest allowed steps. These are difference constraints on a
+    chain, so g_j = 1 + min(U_j - max_{k<=j} U_k, L_j - max_{k>=j} L_k)
+    is the largest vector with g <= 1 and those steps. By LP duality some
+    optimal f >= -1 meets the same conditions; g >= f, so g is 1 at every
+    step of y and in [-1, 1], hence optimal. Entries are exact multiples
+    of 2^-51.
     """
-    steps = np.flatnonzero(np.diff(np.r_[0.0, y, S_e]) > 0.0)
     e = d * np.sign(y - S)
-    if steps.size == 0:
-        P = np.r_[0.0, np.cumsum(e)]
-        return P - P.max()
-    j = np.arange(len(S))
     tie = y == S
-    e[tie] = np.where(j[tie] < steps[0], d[tie], -d[tie])
-    cap = np.where(tie & (j >= steps[0]) & (j < steps[-1]), 2.0 * d, 0.0)
-    if cap.any():
-        k = np.clip(np.searchsorted(steps, j, side="right"), 1, len(steps) - 1)
-        a, b = steps[k - 1], steps[k]   # block a..b-1 holds j
-        P = np.r_[0.0, np.cumsum(e)]
-        C = np.r_[0.0, np.cumsum(cap)]
-        e += np.clip(P[a] - P[b] - (C[b] - C[j + 1]), 0.0, cap)
-    P = np.r_[0.0, np.cumsum(e)]
-    k = np.searchsorted(steps, np.arange(len(P)), side="right") - 1
-    return 1.0 + P - P[steps[np.maximum(k, 0)]]
+    U = np.r_[0.0, np.cumsum(np.where(tie, d, e))]
+    L = np.r_[0.0, np.cumsum(np.where(tie, -d, e))]
+    return 1.0 + np.minimum(U - np.maximum.accumulate(U),
+                            L - np.maximum.accumulate(L[::-1])[::-1])
 
 
 def bv_wce(data: GroupedDataset, total_variation: float) -> float:

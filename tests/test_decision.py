@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cutoffcal
 from cutoffcal import (DecisionEvalSet, GroupedDataset, ValidationError,
                        DiscreteMixture, cutoff_error, loss_bd,
                        make_perturbed_constant, risk_st, risks,
@@ -97,9 +102,25 @@ def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
     ev = DecisionEvalSet(t, mu, tau, weights=w)
     risk, bayes, monotone = risks(ev)
     actions = (ev.forecasts >= tau).astype(float)
-    assert risk == float(np.dot(ev.weights, loss_bd(ev.means, actions, tau)))
+    assert risk == float(np.sum(ev.weights * loss_bd(ev.means, actions, tau)))
     assert bayes <= monotone <= risk
     assert min(risk - bayes, risk - monotone) >= 0.0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_risks_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of 3e5 rows by thread, and each split
+    # rounds differently; numpy's pairwise sum has one order per length
+    code = ("import numpy as np; from cutoffcal import DecisionEvalSet, "
+            "risk_st, risks; t, mu = np.random.default_rng(9).random("
+            "(2, 300_000)); print(repr(risks(DecisionEvalSet(t, mu, 0.5))),"
+            " repr(risk_st(t, mu, 0.4)))")
+    src = str(Path(cutoffcal.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": k}
+                           ).stdout for k in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 @given(st.lists(st.tuples(grid, grid, st.integers(1, 3)), min_size=1,

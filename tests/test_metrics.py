@@ -445,10 +445,26 @@ def oracle_case(rng, kind):
     return GroupedDataset(t, r, np.ones(m), np.zeros(m), n=1.0)
 
 
+def edge_cases():
+    """One group of each sign, zero-sum chains (no step in the dual fit)
+    and all-tie integer chains (nonnegative r: the fit equals S)."""
+    for r0 in (-0.5, 0.0, 0.5):
+        yield GroupedDataset([0.3], [r0], [1.0], [0.0], n=1.0)
+    rng = np.random.default_rng(77)
+    for m in (2, 3, 5, 40, 300):
+        t = np.unique(rng.integers(0, 1025, m) / 1024.0)
+        r = rng.integers(-3, 4, len(t)).astype(float)
+        r[-1] -= r.sum()
+        for chain in (r, np.zeros(len(t)), np.abs(r), -np.abs(r)):
+            yield GroupedDataset(t, chain, np.ones(len(t)), np.zeros(len(t)),
+                                 n=1.0)
+
+
 def test_lipschitz_wce_matches_highs():
     rng = np.random.default_rng(4004)
-    for case in range(315):
-        data = oracle_case(rng, case % 7)
+    cases = itertools.chain((oracle_case(rng, k % 7) for k in range(315)),
+                            edge_cases())
+    for case, data in enumerate(cases):
         r = data.residual_sums
         tol = 1e-9 * max(1.0, float(np.sum(np.abs(r))))
         lw = lipschitz_wce(data)
@@ -457,6 +473,31 @@ def test_lipschitz_wce_matches_highs():
                 highs_wce(data.forecasts, r), abs=tol), case
         assert lw.kkt_residual <= tol * 1e-3, case
         assert_matches_chain_dp(lw, data)
+
+
+def test_lipschitz_weights_are_the_largest_optimal_point():
+    # on dyadic inputs every prefix sum and tie is exact; the weights (for
+    # the flipped r) dominate every optimal point, so they maximise the sum
+    # of the flipped weights over the optimal face
+    rng = np.random.default_rng(1414)
+    for case in range(400):
+        t = np.sort(rng.choice(65, 32, replace=False)) / 64.0
+        r = rng.integers(-3, 4, 32).astype(float)
+        if case % 3 == 0:
+            r[-1] -= r.sum()
+        data = GroupedDataset(t, r, np.ones(32), np.zeros(32), n=32.0)
+        lw = lipschitz_wce(data)
+        sign = -1.0 if r.sum() < 0 else 1.0
+        D = sparse.diags([np.ones(31), -np.ones(31)], [0, 1], shape=(31, 32))
+        res = linprog(-sign * np.ones(32),
+                      A_ub=sparse.vstack([D, -D, -r[None, :] / 32.0]).tocsc(),
+                      b_ub=np.r_[np.diff(t), np.diff(t),
+                                 1e-12 - lw.objective],
+                      bounds=(-1.0, 1.0), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0, res.message
+        assert abs(-res.fun - sign * np.sum(lw.weights)) <= 1e-8, case
 
 
 @st.composite
