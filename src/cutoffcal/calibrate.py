@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Columns, ValidationError, _check_rows, _check_unit,
-                   grouped_from_arrays)
+                   _check_weights, grouped_from_arrays)
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -107,24 +107,29 @@ def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray):
     with p_i = sigmoid(a t_i + b). Each step is halved (up to 50 times)
     until the objective does not increase beyond rounding slack (near the
     optimum the true decrease falls below double-precision resolution of
-    the loss). Raises PlattDivergence at the iteration cap.
+    the loss). Raises PlattDivergence at the iteration cap. Row sums are
+    pairwise np.sum over 1-D arrays, so no BLAS thread count enters.
     """
-    X = np.column_stack([t, np.ones_like(t)])
     theta = np.zeros(2)
 
     def loss(th):
-        z = X @ th
+        z = th[0] * t + th[1]
         # -target*log(p) - (1-target)*log(1-p), stable form
-        return float(np.dot(weights, np.logaddexp(0.0, z) - target * z))
+        return float(np.sum(weights * (np.logaddexp(0.0, z) - target * z))), z
 
-    cur = loss(theta)
-    for _ in range(_MAX_ITER):
-        p = _sigmoid(X @ theta)
-        grad = X.T @ (weights * (p - target))
+    cur, z = loss(theta)
+    for k in range(_MAX_ITER + 1):
+        p = _sigmoid(z)
+        e = weights * (p - target)
+        grad = np.array([np.sum(e * t), np.sum(e)])
         if np.linalg.norm(grad) < _GRAD_TOL:
             return theta, cur
+        if k == _MAX_ITER:
+            break
         h = weights * p * (1.0 - p)
-        H = X.T @ (X * h[:, None])
+        ht = h * t
+        off = np.sum(ht)
+        H = np.array([[np.sum(ht * t), off], [off, np.sum(h)]])
         try:
             step = np.linalg.solve(H + 1e-12 * np.eye(2), grad)
         except np.linalg.LinAlgError:
@@ -132,17 +137,13 @@ def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray):
         slack = 1e-12 * max(1.0, abs(cur))
         for _ in range(50):
             cand = theta - step
-            new = loss(cand)
+            new, z_new = loss(cand)
             if new <= cur + slack:
                 break
             step *= 0.5
         else:
             break
-        theta, cur = cand, new
-    p = _sigmoid(X @ theta)
-    grad = X.T @ (weights * (p - target))
-    if np.linalg.norm(grad) < _GRAD_TOL:
-        return theta, cur
+        theta, cur, z = cand, new, z_new
     raise PlattDivergence(
         f"logistic fit did not converge; |grad|={np.linalg.norm(grad):.3e}")
 
@@ -167,10 +168,10 @@ def fit_platt(cols: Columns) -> CalibratorMap:
 
 
 def population_platt(forecasts, means, masses) -> tuple:
-    """Exact population logistic minimizer on weighted atoms (no smoothing)."""
-    t = np.asarray(forecasts, dtype=float)
-    q = np.asarray(means, dtype=float)
-    w = np.asarray(masses, dtype=float)
+    """Exact population logistic minimizer on weighted atoms (no smoothing);
+    atoms are checked like GroupedDataset.from_atoms's."""
+    t, q = _check_rows(forecasts, means=means)
+    w = _check_weights("masses", masses, t.shape)
     theta, _ = _logistic_fit(t, q, w)
     return float(theta[0]), float(theta[1])
 

@@ -6,6 +6,7 @@ exit codes 0 (ok), 2 (input error), 3 (internal error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -138,7 +139,7 @@ def cmd_simulate(args) -> int:
                                   n_eval=args.n_eval, tau=args.tau,
                                   master_seed=args.seed)
     records = exp.run_simulation(config)
-    fields = exp.SimulationRunRecord.FIELDS
+    fields = [f.name for f in dataclasses.fields(exp.SimulationRunRecord)]
     rows = [fields] + [[str(getattr(rec, f)) for f in fields]
                        for rec in records]
     _write("\n".join(map(",".join, rows)), args.out)

@@ -81,8 +81,8 @@ def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
     Acting costs tau (1 - mean) and passing (1 - tau) mean, exactly
     mean - tau more. Plug-in acts on 1{t >= tau}; Bayes (the best wrapper
     for injective t) takes the cheaper action per row. Both are pairwise
-    sums of one length (np.dot's order would follow the BLAS thread
-    count), so Bayes <= plug-in in floating point. Monotone rules are
+    sums of one length (a BLAS dot's order would follow the thread count),
+    so Bayes <= plug-in in floating point. Monotone rules are
     1{t >= tau'} and 1{t <= tau'}, tau' in {0, forecasts..., 1}. Sort rows
     by forecast; let P[k] be the prefix sums of w (mean - tau), A the cost
     of acting on all rows (both compensated) and K = A + P[n] that of

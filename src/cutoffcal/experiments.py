@@ -59,9 +59,6 @@ class SimulationRunRecord:
     seed: int
     refits: int = 0
 
-    FIELDS = ("alpha", "cutoff", "ece", "lipschitz_wce", "risk", "bayes_risk",
-              "monotone_risk", "gap", "monotone_gap", "seed", "refits")
-
 
 def _conditional_mean(x: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination of a parabola symmetric about 0.5 and the identity."""

@@ -162,12 +162,12 @@ def lipschitz_wce(data: GroupedDataset) -> LipschitzWeights:
     S, S_e = sign * S[:-1], sign * S[-1]
     y = _isotonic_l1(np.clip(S, 0.0, S_e), d)
     w = sign * _kkt_weights(S, y, d)
-    gap = abs(S_e + _prefix_sums(d * np.abs(S - y))[-1]
-              - _prefix_sums(w * r)[-1])
+    objective = float(_prefix_sums(w * r)[-1])
+    gap = abs(S_e + _prefix_sums(d * np.abs(S - y))[-1] - objective)
     slack = np.abs(np.diff(w)) - np.diff(data.forecasts)
     primal_viol = max(float(np.max(slack, initial=0.0)),
                       float(np.max(np.abs(w)) - 1.0))
-    return LipschitzWeights(w, float(np.dot(w, r)), max(primal_viol, gap))
+    return LipschitzWeights(w, objective, max(primal_viol, gap))
 
 
 def _isotonic_l1(c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from cutoffcal import (CalibratorMap, Columns, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
 from cutoffcal.calibrate import (_logistic_fit, _pava, _sigmoid,
-                                 smoothed_targets)
+                                 population_platt, smoothed_targets)
 
 
 def make_columns(t, y):
@@ -156,6 +156,21 @@ def test_platt_flat_data_recovers_adjusted_mean():
     assert b == pytest.approx(b_oracle, abs=1e-3)
 
 
+def test_platt_constant_forecast_takes_lstsq_step(monkeypatch):
+    # one forecast value makes the Hessian rank one; with 1e5 rows the
+    # 1e-12 ridge is below the ulp of its entries, so solve raises and the
+    # minimum-norm lstsq step runs
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    y = (np.random.default_rng(5).random(100_000) < 0.3).astype(float)
+    a, b = fit_platt(make_columns(np.full(y.size, 0.3), y)).coefficients
+    assert calls
+    assert abs(_sigmoid(a * 0.3 + b)
+               - float(np.mean(smoothed_targets(y)))) <= 1e-12
+
+
 def test_platt_separable_stays_finite():
     cal = fit_platt(make_columns([0.2, 0.8], [0.0, 1.0]))
     a, b = cal.coefficients
@@ -184,7 +199,6 @@ def grid_refine_logistic(t, target, w, lo=(-60, -60), hi=(60, 60), rounds=12):
 
 
 def test_population_platt_matches_grid_refinement():
-    from cutoffcal.calibrate import population_platt
     t = np.array([0.0, 0.25, 0.5, 1.0])
     q = np.array([0.1, 0.3, 0.35, 0.9])
     w = np.array([0.25] * 4)
@@ -312,3 +326,18 @@ def test_platt_rejects_out_of_range(where, bad):
 def test_platt_rejects_malformed_columns(fit, t, y, match):
     with pytest.raises(ValidationError, match=match):
         fit(make_columns(t, y))
+
+
+@pytest.mark.parametrize("t, q, w, match", [
+    ([0.2, 0.5], [0.3], [1.0, 1.0], "means"),
+    ([0.2, 0.5], [0.3, 0.4], [1.0], "masses"),
+    ([0.2, 0.5], [0.3, 0.4], [1.0, -0.5], "masses"),
+    ([0.2, 0.5], [0.3, 0.4], [0.0, 0.0], "masses"),
+    ([0.2, 0.5], [math.nan, 0.4], [1.0, 1.0], "means"),
+    ([0.2, 1.5], [0.3, 0.4], [1.0, 1.0], "forecasts"),
+    ([0.2, 0.5], [0.3, 0.4], [1.0, math.inf], "masses"),
+], ids=["length mismatch", "masses mismatch", "negative mass", "zero mass",
+        "NaN mean", "forecast out of range", "infinite mass"])
+def test_population_platt_rejects_malformed_atoms(t, q, w, match):
+    with pytest.raises(ValidationError, match=match):
+        population_platt(t, q, w)

@@ -110,11 +110,16 @@ def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_risks_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product of 3e5 rows by thread, and each split
-    # rounds differently; numpy's pairwise sum has one order per length
-    code = ("import numpy as np; from cutoffcal import DecisionEvalSet, "
-            "risk_st, risks; t, mu = np.random.default_rng(9).random("
-            "(2, 300_000)); print(repr(risks(DecisionEvalSet(t, mu, 0.5))),"
-            " repr(risk_st(t, mu, 0.4)))")
+    # rounds differently; numpy's pairwise sum has one order per length.
+    # The Lipschitz objective and Platt's Newton sums must not follow it
+    code = ("import numpy as np; from cutoffcal import Columns, "
+            "DecisionEvalSet, fit_platt, grouped_from_arrays, lipschitz_wce, "
+            "risk_st, risks; t, mu, u = np.random.default_rng(9).random("
+            "(3, 300_000)); y = 1.0 * (u < mu); "
+            "print(repr(risks(DecisionEvalSet(t, mu, 0.5))), "
+            "repr(risk_st(t, mu, 0.4)), "
+            "repr(lipschitz_wce(grouped_from_arrays(t, mu)).objective), "
+            "repr(fit_platt(Columns(t, y)).coefficients))")
     src = str(Path(cutoffcal.__file__).resolve().parents[1])
     outs = [subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                            capture_output=True, text=True,

@@ -520,7 +520,13 @@ def test_lipschitz_wce_optimal_among_feasible(case):
     lw = lipschitz_wce(data)
     assert np.all(np.abs(lw.weights) <= 1.0 + 1e-12)
     assert np.all(np.abs(np.diff(lw.weights)) <= dt + 1e-12)
-    assert lw.objective == float(np.dot(lw.weights, r))
+    # the objective is the compensated sum of w * r, within the
+    # _prefix_sums bound ulp(S) + m^2 eps^2 sum|w r| of the exact sum
+    wr = lw.weights * r
+    assert lw.objective == float(_prefix_sums(wr)[-1])
+    exact = math.fsum(wr.tolist())
+    slack = len(r) ** 2 * 2.0 ** -104 * float(np.sum(np.abs(wr)))
+    assert abs(lw.objective - exact) <= math.ulp(exact) + slack
     tol = 1e-12 * max(1.0, float(np.sum(np.abs(r))))
     rng = np.random.default_rng(seed)
     for _ in range(20):
