@@ -27,7 +27,7 @@ __all__ = [
 
 
 class PlattDivergence(RuntimeError):
-    """Newton failed to reach the gradient tolerance within the iteration cap."""
+    """Newton did not bring the gradient to its sums' rounding floor."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,49 +96,44 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-_GRAD_TOL = 1e-10
 _MAX_ITER = 200
 
 
-def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray):
-    """Damped Newton for weighted two-parameter logistic loss.
+def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
+    """Damped Newton for the logistic loss of pooled groups: minimizes
+    sum_g [counts_g log(1 + e^z_g) - target_sums_g z_g], z_g = a t_g + b.
 
-    Minimizes sum_i w_i * [-target_i log p_i - (1 - target_i) log(1 - p_i)]
-    with p_i = sigmoid(a t_i + b). Each step is halved (up to 50 times)
-    until the objective does not increase beyond rounding slack (near the
-    optimum the true decrease falls below double-precision resolution of
-    the loss). Raises PlattDivergence at the iteration cap. Row sums are
-    pairwise np.sum over 1-D arrays, so no BLAS thread count enters.
+    Each step is lstsq(H, grad), halved up to 50 times until the loss does
+    not rise beyond rounding slack. The fit stops once |grad| is within the
+    rounding floor of its own sums over m groups, eps ceil(log2(m + 1))
+    sum_g (counts_g + target_sums_g); p_g is known to an absolute eps, so
+    counts_g, not counts_g p_g, bounds the error of counts_g p_g. Raises
+    PlattDivergence after _MAX_ITER steps. Sums are pairwise np.sum.
     """
     theta = np.zeros(2)
+    floor = (np.finfo(float).eps * t.size.bit_length()  # ceil(log2(m + 1))
+             * np.sum(counts + target_sums))
 
     def loss(th):
         z = th[0] * t + th[1]
-        # -target*log(p) - (1-target)*log(1-p), stable form
-        return float(np.sum(weights * (np.logaddexp(0.0, z) - target * z))), z
+        return float(np.sum(counts * np.logaddexp(0.0, z)
+                            - target_sums * z)), z
 
     cur, z = loss(theta)
-    for k in range(_MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         p = _sigmoid(z)
-        e = weights * (p - target)
+        e = counts * p - target_sums
         grad = np.array([np.sum(e * t), np.sum(e)])
-        if np.linalg.norm(grad) < _GRAD_TOL:
-            return theta, cur
-        if k == _MAX_ITER:
-            break
-        h = weights * p * (1.0 - p)
-        ht = h * t
-        off = np.sum(ht)
-        H = np.array([[np.sum(ht * t), off], [off, np.sum(h)]])
-        try:
-            step = np.linalg.solve(H + 1e-12 * np.eye(2), grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad, rcond=None)[0]
-        slack = 1e-12 * max(1.0, abs(cur))
+        if np.linalg.norm(grad) <= floor:
+            return theta
+        h = counts * p * (1.0 - p)
+        off = np.sum(h * t)
+        H = np.array([[np.sum(h * t * t), off], [off, np.sum(h)]])
+        step = np.linalg.lstsq(H, grad, rcond=None)[0]
         for _ in range(50):
             cand = theta - step
             new, z_new = loss(cand)
-            if new <= cur + slack:
+            if new <= cur + 1e-12 * max(1.0, abs(cur)):
                 break
             step *= 0.5
         else:
@@ -148,22 +143,27 @@ def _logistic_fit(t: np.ndarray, target: np.ndarray, weights: np.ndarray):
         f"logistic fit did not converge; |grad|={np.linalg.norm(grad):.3e}")
 
 
-def smoothed_targets(outcomes: np.ndarray) -> np.ndarray:
-    """Shrink outcomes toward the interior before logistic rescaling.
+def smoothed_targets(target_sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shrink outcome sums toward the interior before logistic rescaling.
 
-    y -> y*(S+1)/(S+2) + (1-y)/(F+2) where S = sum(y) and F = sum(1-y);
-    keeps the logistic minimizer finite even on separable data.
+    Each row's y becomes y*(S+1)/(S+2) + (1-y)/(F+2), with S and F the sums
+    of y and 1 - y; that is linear in y, so a group's target sum follows
+    from its outcome sum and count. Keeps the logistic minimizer finite.
     """
-    s = float(np.sum(outcomes))
-    f = float(np.sum(1.0 - outcomes))
-    return outcomes * (s + 1.0) / (s + 2.0) + (1.0 - outcomes) / (f + 2.0)
+    s = float(np.sum(target_sums))
+    f = float(np.sum(counts - target_sums))
+    return (target_sums * (s + 1.0) / (s + 2.0)
+            + (counts - target_sums) / (f + 2.0))
 
 
 def fit_platt(cols: Columns) -> CalibratorMap:
-    """Logistic rescaling of forecasts with smoothed outcome targets."""
+    """Logistic rescaling of forecasts with smoothed outcome targets, fitted
+    on rows pooled by forecast, so row order does not change the map."""
     t, y = _check_rows(cols.forecasts, outcomes=cols.outcomes)
-    target = smoothed_targets(y)
-    theta, _ = _logistic_fit(t, target, np.ones_like(t))
+    data = grouped_from_arrays(t, y)
+    theta = _logistic_fit(data.forecasts,
+                          smoothed_targets(data.target_sums, data.counts),
+                          data.counts)
     return CalibratorMap("platt", coefficients=(float(theta[0]), float(theta[1])))
 
 
@@ -172,7 +172,7 @@ def population_platt(forecasts, means, masses) -> tuple:
     atoms are checked like GroupedDataset.from_atoms's."""
     t, q = _check_rows(forecasts, means=means)
     w = _check_weights("masses", masses, t.shape)
-    theta, _ = _logistic_fit(t, q, w)
+    theta = _logistic_fit(t, w * q, w)
     return float(theta[0]), float(theta[1])
 
 

@@ -89,6 +89,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.epsilon is not None and args.method != "modified-platt":
+        raise ValidationError("--epsilon applies only to --method "
+                              "modified-platt")
     cols = _read_columns(args.input)
     if args.method == "isotonic":
         cmap = cal.fit_isotonic(cols)

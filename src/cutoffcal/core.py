@@ -196,10 +196,12 @@ def load_columns(source, mode: str = "empirical") -> Columns:
 
     Header must be ``forecast,outcome[,oracle_mean]``, after at most one
     UTF-8 byte-order mark (as Excel writes it). The data lines are
-    parsed in one vectorised pass and checked as a whole; only when that
-    check fails are they parsed again line by line, to raise
-    ValidationError with the offending line number. Blank lines are
-    skipped and row order is preserved.
+    parsed in one vectorised pass and checked as a whole. When that check
+    fails they are parsed again line by line with float(), which decides:
+    it raises ValidationError with the offending line number, or accepts
+    what float() accepts and np.loadtxt does not, such as underscore
+    digits and whitespace-only lines. Blank lines are skipped and row
+    order is preserved.
     """
     raw = source.read() if hasattr(source, "read") else source
     try:

@@ -75,8 +75,9 @@ def _one_run(config: SimulationConfig,
         y = (rng.uniform(size=config.n_train)
              < _conditional_mean(x, alpha)).astype(float)
         try:
-            # forecast model: plain logistic MLE on (X, Y), no target smoothing
-            theta, _ = _logistic_fit(x, y, np.ones_like(x))
+            # forecast model: plain logistic MLE on (X, Y), no target
+            # smoothing; each row is a group of mass 1
+            theta = _logistic_fit(x, y, np.ones_like(x))
             break
         except PlattDivergence:
             refits += 1

@@ -145,11 +145,11 @@ def test_platt_flat_data_recovers_adjusted_mean():
     y = np.concatenate([y, y])
     cal = fit_platt(make_columns(t, y))
     a, b = cal.coefficients
-    target_mean = float(np.mean(smoothed_targets(y)))
+    target = smoothed_targets(y, np.ones_like(y))
+    target_mean = float(np.mean(target))
     # 1-D oracle: minimize with slope frozen at zero
     bs = np.linspace(-3, 3, 20001)
-    losses = [np.sum(np.logaddexp(0, bb) - smoothed_targets(y) * bb)
-              for bb in bs]
+    losses = [np.sum(np.logaddexp(0, bb) - target * bb) for bb in bs]
     b_oracle = bs[int(np.argmin(losses))]
     assert abs(a) < 1e-6
     assert _sigmoid(np.array(b))[()] == pytest.approx(target_mean, abs=1e-8)
@@ -157,9 +157,8 @@ def test_platt_flat_data_recovers_adjusted_mean():
 
 
 def test_platt_constant_forecast_takes_lstsq_step(monkeypatch):
-    # one forecast value makes the Hessian rank one; with 1e5 rows the
-    # 1e-12 ridge is below the ulp of its entries, so solve raises and the
-    # minimum-norm lstsq step runs
+    # one forecast value makes the Hessian rank one; the minimum-norm
+    # lstsq step still moves the one fitted value to the smoothed mean
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
@@ -167,8 +166,48 @@ def test_platt_constant_forecast_takes_lstsq_step(monkeypatch):
     y = (np.random.default_rng(5).random(100_000) < 0.3).astype(float)
     a, b = fit_platt(make_columns(np.full(y.size, 0.3), y)).coefficients
     assert calls
-    assert abs(_sigmoid(a * 0.3 + b)
-               - float(np.mean(smoothed_targets(y)))) <= 1e-12
+    target = smoothed_targets(y, np.ones_like(y))
+    assert abs(_sigmoid(a * 0.3 + b) - float(np.mean(target))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_platt_constant_forecast_without_positives_converges(n):
+    # p = 0.5 (1 + tanh(z / 2)) is known only to an absolute eps, so a
+    # stop floor of eps (n p + target sum) is out of reach here; the floor
+    # scales with the count n instead
+    y = np.zeros(n)
+    a, b = fit_platt(make_columns(np.full(n, 0.4), y)).coefficients
+    assert _sigmoid(a * 0.4 + b) == pytest.approx(1 / (n + 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_platt_pools_ties_so_row_order_is_free(seed):
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, 101, 5000) / 100
+    y = (rng.random(t.size) < t).astype(float)
+    a, b = fit_platt(make_columns(t, y)).coefficients
+    perm = rng.permutation(t.size)
+    assert fit_platt(make_columns(t[perm], y[perm])).coefficients == (a, b)
+    # the pooled fit solves the row-level score equations to the stop floor
+    p = _sigmoid(a * t + b)
+    target = smoothed_targets(y, np.ones_like(y))
+    e = p - target
+    score = math.hypot(math.fsum((e * t).tolist()), math.fsum(e.tolist()))
+    floor = (np.finfo(float).eps * (101).bit_length()
+             * math.fsum((1.0 + target).tolist()))
+    assert score <= floor
+
+
+def test_platt_converges_on_millions_of_rows():
+    # an absolute gradient tolerance of 1e-10 lies below the rounding of
+    # these sums; the stop floor grows with the total mass
+    n = 3_000_000
+    rng = np.random.default_rng(1)
+    t = rng.random(n)
+    y = rng.random(n) < t
+    a, b = fit_platt(make_columns(t, y)).coefficients
+    assert a == pytest.approx(5.2, abs=0.05)
+    assert b == pytest.approx(-2.6, abs=0.05)
 
 
 def test_platt_separable_stays_finite():
@@ -176,7 +215,7 @@ def test_platt_separable_stays_finite():
     a, b = cal.coefficients
     assert np.isfinite(a) and np.isfinite(b)
     # smoothed targets are exactly {1/3, 2/3} here
-    assert np.allclose(smoothed_targets(np.array([0.0, 1.0])),
+    assert np.allclose(smoothed_targets(np.array([0.0, 1.0]), np.ones(2)),
                        [1 / 3, 2 / 3])
 
 
@@ -212,12 +251,12 @@ def test_platt_newton_monotone_descent_and_tolerance():
     rng = np.random.default_rng(77)
     t = rng.random(300)
     y = (rng.random(300) < _sigmoid(3 * t - 1)).astype(float)
-    target = smoothed_targets(y)
+    target = smoothed_targets(y, np.ones_like(y))
     X = np.column_stack([t, np.ones_like(t)])
 
     losses = []
     orig_loss = None
-    theta, final = _logistic_fit(t, target, np.ones_like(t))
+    theta = _logistic_fit(t, target, np.ones_like(t))
     p = _sigmoid(X @ theta)
     grad = X.T @ (p - target)
     assert np.linalg.norm(grad) < 1e-10

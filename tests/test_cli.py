@@ -292,6 +292,7 @@ def test_stdout_emission(empirical_csv, capsys):
     ["certify", "{csv}", "--c", "nan"],
     ["certify", "{csv}", "--c", "inf"],
     ["calibrate", "{csv}", "--method", "modified-platt", "--epsilon", "-1"],
+    ["calibrate", "{csv}", "--method", "platt", "--epsilon", "0.1"],
     ["simulate", "--runs", "0"],
     ["simulate", "--tau", "2"],
 ])

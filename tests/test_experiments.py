@@ -9,7 +9,7 @@ from cutoffcal import (GroupedDataset, SimulationConfig, ValidationError,
                        make_perturbed_constant, make_separation_example,
                        make_staircase, oracle_ece, platt_counterexample,
                        run_simulation)
-from cutoffcal.calibrate import _sigmoid
+from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _conditional_mean, _rescaled_atoms
 
 
@@ -118,6 +118,11 @@ def test_counterexample_self_validates():
     assert float(np.sum(t * (q - z))) == pytest.approx(0.0, abs=1e-7)
 
 
+# The population logistic minimiser on the counterexample atoms, from
+# mpmath.findroot on the two score equations at 50 significant digits
+COUNTEREXAMPLE_MINIMISER = (3.589257553645144, -0.8208030699072837)
+
+
 def test_counterexample_values_pinned():
     # the construction is deterministic; pin its output to 1e-15
     atoms, (a, b), wce = platt_counterexample()
@@ -126,9 +131,18 @@ def test_counterexample_values_pinned():
                 (0.5, 0.8157047182944249, 0.25),
                 (1.0, 0.8263232207585449, 0.25)]
     assert np.max(np.abs(np.subtract(atoms, expected))) <= 1e-15
-    assert abs(a - 3.5892575534681743) <= 1e-15
-    assert abs(b - -0.8208030698742257) <= 1e-15
-    assert abs(wce - 0.021006328875986725) <= 1e-15
+    assert abs(a - COUNTEREXAMPLE_MINIMISER[0]) <= 1e-15
+    assert abs(b - COUNTEREXAMPLE_MINIMISER[1]) <= 1e-15
+    assert abs(wce - 0.02100632887391212) <= 1e-15
+
+
+def test_population_platt_converges_at_large_mass():
+    # scaling every mass leaves the minimiser in place; an absolute
+    # gradient tolerance could not be met once the sums reach 1e8
+    t, q, w = map(np.array, zip(*platt_counterexample()[0]))
+    a, b = population_platt(t, q, w * 1e8)
+    assert abs(a - COUNTEREXAMPLE_MINIMISER[0]) <= 1e-15
+    assert abs(b - COUNTEREXAMPLE_MINIMISER[1]) <= 1e-15
 
 
 def test_rescaled_atoms_pool_coincident_images():
