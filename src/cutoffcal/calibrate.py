@@ -6,6 +6,7 @@ Each fitter takes a Columns of per-row forecasts and outcomes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,28 @@ class CalibratorMap:
         else:
             d["constant_value"] = self.constant_value
         return d
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_dict(), allow_nan=False), the same bytes.
+
+        A float isotonic map is written from its array: each input and each
+        run of bit-identical values (-0.0 apart from 0.0) is formatted once
+        with float.__repr__, as the encoder does, and a run is one join of
+        its input reprs. ValueError on a non-finite entry, as allow_nan.
+        """
+        bp = self.breakpoints
+        if self.kind != "isotonic" or bp.dtype != np.float64 or bp.size == 0:
+            return json.dumps(self.to_dict(), allow_nan=False)
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        bits = np.ascontiguousarray(bp).view(np.int64)[:, 1]
+        cut = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+        starts, ends = [0] + cut, cut + [len(bp)]
+        inputs = list(map(float.__repr__, bp[:, 0].tolist()))
+        values = map(float.__repr__, bp[starts, 1].tolist())
+        runs = "], [".join((", " + v + "], [").join(inputs[s:e]) + ", " + v
+                           for s, e, v in zip(starts, ends, values))
+        return "".join(('{"kind": "isotonic", "breakpoints": [[', runs, "]]}"))
 
 
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -70,8 +70,14 @@ class DiscreteMixture:
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
 
 
-def loss_bd(y: float, yhat: int, tau: float) -> float:
-    """Threshold loss: tau for a false positive, (1-tau) scaled by y for a miss."""
+def loss_bd(y, yhat, tau: float):
+    """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
+    miss. y and yhat are scalars or arrays; ValidationError unless y and
+    tau are in [0, 1] and every yhat is 0 or 1."""
+    _check_unit(f"tau ({tau!r})", tau)
+    _check_unit("y", y)
+    if not np.all(np.isin(yhat, (0, 1))):
+        raise ValidationError("yhat must be 0 or 1")
     return tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -380,3 +381,55 @@ def test_platt_rejects_malformed_columns(fit, t, y, match):
 def test_population_platt_rejects_malformed_atoms(t, q, w, match):
     with pytest.raises(ValidationError, match=match):
         population_platt(t, q, w)
+
+
+def isotonic_map(rows):
+    return CalibratorMap("isotonic", breakpoints=np.array(rows, dtype=float))
+
+
+def reference_json(cal):
+    return json.dumps(cal.to_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("cal", list(MAPS.values()) + [
+    CalibratorMap("isotonic", breakpoints=np.empty((0, 2))),
+    CalibratorMap("isotonic", breakpoints=np.array([[0, 0], [1, 1]])),
+], ids=list(MAPS) + ["isotonic-empty", "isotonic-int"])
+def test_to_json_is_json_dumps_of_to_dict(cal):
+    assert cal.to_json() == reference_json(cal)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.25]],                                       # one breakpoint
+    [[0.1, 0.3], [0.2, 0.3], [0.9, 0.3]],                # one run
+    [[0.1, 0.0], [0.2, 0.1], [0.3, 0.7], [0.4, 1.0]],    # all distinct
+    [[0.0, -0.0], [0.1, -0.0], [0.2, 0.0], [0.3, 0.0]],  # -0.0 run, 0.0 run
+    [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.0]],              # and back again
+    [[1e-05, 5e-324], [5e-324, 1e-05], [0.5, 1e-05]],    # exponent reprs
+    [[0.1, 0.25], [0.2, 0.5], [0.3, 0.5], [0.4, 0.75], [1.0, 0.75]],
+])
+def test_isotonic_to_json_edge_cases(rows):
+    cal = isotonic_map(rows)
+    assert cal.to_json() == reference_json(cal)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+       st.lists(st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 0.1, 0.5, 1.0])
+                | st.floats(0.0, 1.0), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_isotonic_to_json_matches_json_dumps(xs, vs):
+    m = min(len(xs), len(vs))
+    # sorted inputs and values, as fit_isotonic writes them; the stable
+    # sort keeps -0.0 and 0.0 in drawn order, so both meet in one array
+    cal = isotonic_map(np.column_stack((np.sort(xs[:m], kind="stable"),
+                                        np.sort(vs[:m], kind="stable"))))
+    assert cal.to_json() == reference_json(cal)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 1)])
+def test_isotonic_to_json_rejects_non_finite(bad, where):
+    bp = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.6]])
+    bp[where] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        isotonic_map(bp).to_json()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import cutoffcal
-from cutoffcal import fit_isotonic, load_columns
+from cutoffcal import (apply_map, cutoff_error, fit_isotonic,
+                       grouped_from_arrays, load_columns)
 from cutoffcal.cli import main
 
 
@@ -255,6 +256,34 @@ def test_isotonic_signed_zero_forecasts_do_not_depend_on_row_order(
     assert json.loads(outs[0])["calibrator"]["breakpoints"] == [[0.0, 0.0],
                                                                 [0.5, 1.0]]
     assert b"-0.0" not in outs[0]
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_isotonic_report_is_json_dumps_of_the_map(grid, tmp_path,
+                                                  capsysbinary):
+    rng = np.random.default_rng(31)
+    paths = []
+    for name, n in [("train.csv", 3000), ("test.csv", 500)]:
+        t = rng.random(n)
+        t = np.round(t, 2) if grid else t
+        paths.append(tmp_path / name)
+        write_csv(paths[-1], list(zip(t.tolist(), (rng.random(n) < t) * 1)))
+    assert main(["calibrate", str(paths[0]), "--method", "isotonic",
+                 "--test-input", str(paths[1])]) == 0
+    out = capsysbinary.readouterr().out
+    with open(paths[0], "rb") as fh:
+        cmap = fit_isotonic(load_columns(fh))
+    with open(paths[1], "rb") as fh:
+        t, y, _ = load_columns(fh)
+    evaluation = {
+        "pre_cutoff": cutoff_error(grouped_from_arrays(t, y)).value,
+        "post_cutoff": cutoff_error(
+            grouped_from_arrays(apply_map(cmap, t), y)).value,
+        "n_test": len(t)}
+    want = json.dumps({"calibrator": cmap.to_dict(),
+                       "evaluation": evaluation}, allow_nan=False)
+    assert out == (want + "\n").encode()
+    assert len(cmap.breakpoints) == (101 if grid else 3000)
 
 
 @pytest.mark.parametrize("args", [

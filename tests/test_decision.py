@@ -25,6 +25,22 @@ def test_loss_bd_corners():
     assert loss_bd(0.5, 0, 0.4) == pytest.approx(0.6 * 0.5)
 
 
+@pytest.mark.parametrize("y, yhat, tau, match", [
+    (math.nan, 1, 0.5, "^y must"),
+    (2.0, 1, 0.5, "^y must"),
+    (-0.1, 0, 0.5, "^y must"),
+    (np.array([0.2, math.nan]), 1, 0.5, "^y must"),
+    (0.5, 1, math.nan, "^tau "),
+    (0.5, 0, 1.5, "^tau "),
+    (0.5, 2, 0.5, "^yhat must"),
+    (0.5, math.nan, 0.5, "^yhat must"),
+    (np.array([0.2, 0.4]), np.array([1.0, 0.5]), 0.5, "^yhat must"),
+])
+def test_loss_bd_rejects_out_of_range(y, yhat, tau, match):
+    with pytest.raises(ValidationError, match=match):
+        loss_bd(y, yhat, tau)
+
+
 def test_risk_bd_direct_sum():
     rng = np.random.default_rng(4)
     t, mu = rng.random(30), rng.random(30)
