@@ -28,7 +28,8 @@ __all__ = [
 
 
 class PlattDivergence(RuntimeError):
-    """Newton did not bring the gradient to its sums' rounding floor."""
+    """The logistic loss has no finite minimiser (the groups are separable),
+    or Newton did not bring the gradient to its sums' rounding floor."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +133,20 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
     sum_g (counts_g + target_sums_g); p_g is known to an absolute eps, so
     counts_g, not counts_g p_g, bounds the error of counts_g p_g. Raises
     PlattDivergence after _MAX_ITER steps. Sums are pairwise np.sum.
+
+    Raises PlattDivergence at once when no finite minimiser exists. Call a
+    group lo if target_sums_g < counts_g and hi if target_sums_g > 0 (a
+    massless group is neither); then the loss falls without bound along
+    some (a, b) exactly when no group is lo, no group is hi, or the
+    forecasts of positive mass differ and every lo forecast is <= every hi
+    one (or every hi forecast <= every lo one). Smoothed targets never do.
     """
+    lo, hi = t[target_sums < counts], t[target_sums > 0]
+    if (lo.size == 0 or hi.size == 0
+            or (np.ptp(t[counts > 0]) > 0
+                and (lo.max() <= hi.min() or hi.max() <= lo.min()))):
+        raise PlattDivergence("the groups are separable: the logistic loss "
+                              "has no finite minimiser")
     theta = np.zeros(2)
     floor = (np.finfo(float).eps * t.size.bit_length()  # ceil(log2(m + 1))
              * np.sum(counts + target_sums))
@@ -227,19 +241,36 @@ def fit_modified_platt(cols: Columns,
     return CalibratorMap("constant", constant_value=float(np.mean(y)))
 
 
+def _finite(cal: CalibratorMap, values) -> np.ndarray:
+    """values, a field of cal, as a float array; ValidationError unless
+    every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{cal.kind} map has a non-finite entry")
+    return values
+
+
 def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
-    """Map forecasts in [0, 1] element-wise; outputs stay in [0, 1]."""
+    """Map forecasts in [0, 1] element-wise; outputs stay in [0, 1].
+    ValidationError on a non-finite map entry, or on isotonic breakpoints
+    that are not a non-empty (m, 2) array with strictly increasing inputs."""
     z = np.asarray(forecasts, dtype=float)
     _check_unit("forecasts", z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if cal.kind == "constant":
-        out = np.full_like(z, cal.constant_value)
+        out = np.full_like(z, _finite(cal, cal.constant_value))
     elif cal.kind == "platt":
-        a, b = cal.coefficients
+        a, b = _finite(cal, cal.coefficients)
         out = _sigmoid(a * z + b)
     elif cal.kind == "isotonic":
-        xs, vs = cal.breakpoints.T
+        bp = _finite(cal, cal.breakpoints)
+        if (bp.ndim != 2 or bp.shape[1] != 2 or len(bp) == 0
+                or np.any(np.diff(bp[:, 0]) <= 0)):
+            raise ValidationError("isotonic breakpoints must be a non-empty "
+                                  "(m, 2) array whose inputs strictly "
+                                  "increase")
+        xs, vs = bp.T
         idx = np.clip(np.searchsorted(xs, z, side="right") - 1, 0, len(xs) - 1)
         out = vs[idx]
     else:

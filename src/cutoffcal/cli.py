@@ -1,6 +1,7 @@
 """Command-line driver: audit, calibrate, certify, decide, simulate, and the
-population logistic-rescaling counterexample. Machine-readable JSON/CSV out;
-exit codes 0 (ok), 2 (input error), 3 (internal error).
+population logistic-rescaling counterexample. Each command returns its
+JSON/CSV report and main writes it, to stdout or --out; exit codes 0 (ok),
+2 (input error), 3 (internal error).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import dataclasses
 import json
 import sys
 import traceback
-from typing import Optional
 
 from . import calibrate as cal
 from . import decision as dec
@@ -46,24 +46,16 @@ def _read_columns(path, mode="empirical"):
         return load_columns(fh, mode=mode)
 
 
-def _write(text: str, out_path: Optional[str]):
-    """text and a final newline, to out_path or else to stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _json(obj) -> str:
+    """obj as one line of compact JSON, NaN refused. Without indent,
+    json.dumps runs CPython's C encoder; with it, a pure-Python one at about
+    3x the time. calibrate builds the same bytes itself, taking an isotonic
+    map's breakpoints from CalibratorMap.to_json, one repr per distinct
+    value."""
+    return json.dumps(obj, allow_nan=False)
 
 
-def _emit(obj, out_path: Optional[str]):
-    """obj as one line of compact JSON. Without indent, json.dumps runs
-    CPython's C encoder; with it, a pure-Python one at about 3x the time.
-    calibrate writes the same bytes itself, taking an isotonic map's
-    breakpoints from CalibratorMap.to_json, one repr per distinct value."""
-    _write(json.dumps(obj, allow_nan=False), out_path)
-
-
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> str:
     mode = "oracle" if args.oracle else "empirical"
     cols = _read_columns(args.input, mode=mode)
     data = grouped_from_arrays(cols.forecasts, cols.outcomes)
@@ -86,11 +78,10 @@ def cmd_audit(args) -> int:
                            argmax_interval=oest.argmax_interval),
             _lipschitz_report("oracle_lipschitz_wce", odata),
         ]
-    _emit({"reports": reports}, args.out)
-    return EXIT_OK
+    return _json({"reports": reports})
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> str:
     if args.epsilon is not None and args.method != "modified-platt":
         raise ValidationError("--epsilon applies only to --method "
                               "modified-platt")
@@ -107,14 +98,12 @@ def cmd_calibrate(args) -> int:
         pre = met.cutoff_error(grouped_from_arrays(t, y)).value
         post = met.cutoff_error(
             grouped_from_arrays(cal.apply_map(cmap, t), y)).value
-        parts += [', "evaluation": ', json.dumps(
-            {"pre_cutoff": pre, "post_cutoff": post, "n_test": len(t)},
-            allow_nan=False)]
-    _write("".join(parts + ["}"]), args.out)
-    return EXIT_OK
+        parts += [', "evaluation": ', _json(
+            {"pre_cutoff": pre, "post_cutoff": post, "n_test": len(t)})]
+    return "".join(parts + ["}"])
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> str:
     cols = _read_columns(args.input)
 
     def pretrained(train_cov, train_y):
@@ -124,11 +113,10 @@ def cmd_certify(args) -> int:
     seed = SeededRng(args.shuffle_seed) if args.shuffle_seed is not None else None
     verdict = run_certify(cols.forecasts, cols.outcomes, pretrained,
                           args.c, args.delta, split_seed=seed)
-    _emit(verdict.to_dict(), args.out)
-    return EXIT_OK
+    return _json(verdict.to_dict())
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> str:
     t, y, mu = _read_columns(args.input, mode="oracle")
     ev = dec.DecisionEvalSet(t, mu, args.tau)
     risk, bayes, mono = dec.risks(ev)
@@ -136,11 +124,10 @@ def cmd_decide(args) -> int:
               "gap": risk - bayes, "monotone_gap": risk - mono}
     if args.ystar is not None:
         result["sign_testing_risk"] = dec.risk_st(t, y, args.ystar)
-    _emit(result, args.out)
-    return EXIT_OK
+    return _json(result)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     config = exp.SimulationConfig(runs=args.runs, n_train=args.n_train,
                                   n_eval=args.n_eval, tau=args.tau,
                                   master_seed=args.seed)
@@ -148,71 +135,70 @@ def cmd_simulate(args) -> int:
     fields = [f.name for f in dataclasses.fields(exp.SimulationRunRecord)]
     rows = [fields] + [[str(getattr(rec, f)) for f in fields]
                        for rec in records]
-    _write("\n".join(map(",".join, rows)), args.out)
-    return EXIT_OK
+    return "\n".join(map(",".join, rows))
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> str:
     atoms, (a, b), wce = exp.platt_counterexample()
-    _emit({
+    return _json({
         "atoms": [{"forecast": t, "conditional_mean": q, "mass": m}
                   for t, q, m in atoms],
         "population_platt": {"a": a, "b": b},
         "certified_wce": wce,
         "implied_dce_lower_bound": wce / 2.0,
-    }, args.out)
-    return EXIT_OK
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cutoffcal",
                                 description="Calibration audit toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    a = sub.add_parser("audit", help="compute calibration metrics on a CSV")
+    a = sub.add_parser("audit", parents=[out],
+                       help="compute calibration metrics on a CSV")
     a.add_argument("input")
     a.add_argument("--delta", type=float, default=0.05)
     a.add_argument("--bins", type=int, default=10)
     a.add_argument("--oracle", action="store_true")
-    a.add_argument("--out")
     a.set_defaults(func=cmd_audit)
 
-    c = sub.add_parser("calibrate", help="fit a post-hoc calibrator")
+    c = sub.add_parser("calibrate", parents=[out],
+                       help="fit a post-hoc calibrator")
     c.add_argument("input")
     c.add_argument("--method", choices=["isotonic", "platt", "modified-platt"],
                    required=True)
     c.add_argument("--epsilon", type=float, default=None)
     c.add_argument("--test-input", help="held-out CSV for pre/post audit")
-    c.add_argument("--out")
     c.set_defaults(func=cmd_calibrate)
 
-    ce = sub.add_parser("certify", help="two-stage certification of forecasts")
+    ce = sub.add_parser("certify", parents=[out],
+                        help="two-stage certification of forecasts")
     ce.add_argument("input")
     ce.add_argument("--c", type=float, required=True)
     ce.add_argument("--delta", type=float, default=0.05)
     ce.add_argument("--shuffle-seed", type=int, default=None)
-    ce.add_argument("--out")
     ce.set_defaults(func=cmd_certify)
 
-    d = sub.add_parser("decide", help="risk gaps on an oracle CSV")
+    d = sub.add_parser("decide", parents=[out],
+                       help="risk gaps on an oracle CSV")
     d.add_argument("input")
     d.add_argument("--tau", type=float, required=True)
     d.add_argument("--ystar", type=float, default=None)
-    d.add_argument("--out")
     d.set_defaults(func=cmd_decide)
 
-    s = sub.add_parser("simulate", help="misspecified-logistic simulation")
+    s = sub.add_parser("simulate", parents=[out],
+                       help="misspecified-logistic simulation")
     s.add_argument("--runs", type=int, default=100)
     s.add_argument("--n-train", type=int, default=500)
     s.add_argument("--n-eval", type=int, default=10000)
     s.add_argument("--tau", type=float, default=0.35)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out")
     s.set_defaults(func=cmd_simulate)
 
-    x = sub.add_parser("counterexample-platt",
+    x = sub.add_parser("counterexample-platt", parents=[out],
                        help="population logistic-rescaling counterexample")
-    x.add_argument("--out")
     x.set_defaults(func=cmd_counterexample)
     return p
 
@@ -221,7 +207,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return EXIT_OK
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

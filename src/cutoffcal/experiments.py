@@ -82,7 +82,10 @@ def _one_run(config: SimulationConfig,
         except PlattDivergence:
             refits += 1
             if refits > 10:
-                raise
+                raise ValidationError(
+                    f"n_train={config.n_train}: no logistic fit in "
+                    f"{refits} training draws (a separable sample has "
+                    "none); use a larger --n-train") from None
 
     x_eval = rng.uniform(size=config.n_eval)
     mu = _conditional_mean(x_eval, alpha)

@@ -282,7 +282,7 @@ def effective_support_size(data: GroupedDataset, gamma: float) -> int:
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
     masses = np.sort(data.counts)[::-1]
-    target = (1.0 - gamma) * data.n - 1e-12
+    target = (1.0 - gamma - 1e-12) * data.n
     cum = np.cumsum(masses)
     # all m atoms cover the whole mass even where cum[-1] rounds below n
     return min(int(np.searchsorted(cum, target) + 1), len(masses))

@@ -11,8 +11,8 @@ from scipy.optimize import isotonic_regression
 from cutoffcal import (CalibratorMap, Columns, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
-from cutoffcal.calibrate import (_logistic_fit, _pava, _sigmoid,
-                                 population_platt, smoothed_targets)
+from cutoffcal.calibrate import (PlattDivergence, _logistic_fit, _pava,
+                                 _sigmoid, population_platt, smoothed_targets)
 
 
 def make_columns(t, y):
@@ -218,6 +218,57 @@ def test_platt_separable_stays_finite():
     # smoothed targets are exactly {1/3, 2/3} here
     assert np.allclose(smoothed_targets(np.array([0.0, 1.0]), np.ones(2)),
                        [1 / 3, 2 / 3])
+
+
+@pytest.mark.parametrize("t, y", [
+    ([0.2, 0.4, 0.6, 0.8], [0, 0, 1, 1]),
+    ([0.2, 0.4, 0.6, 0.8], [1, 1, 0, 0]),
+    ([0.2, 0.5, 0.5, 0.8], [0, 0, 1, 1]),
+    ([0.2, 0.4, 0.6], [0, 0, 0]),
+    ([0.2, 0.4, 0.6], [1, 1, 1]),
+    ([0.5, 0.5, 0.5], [1, 1, 1]),
+], ids=["separable", "separable reversed", "touching", "all zero", "all one",
+        "single forecast"])
+def test_logistic_fit_without_finite_minimiser_raises_at_once(t, y,
+                                                              monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    t = np.array(t, dtype=float)
+    with pytest.raises(PlattDivergence, match="separable"):
+        _logistic_fit(t, np.array(y, dtype=float), np.ones_like(t))
+    assert not calls
+
+
+@pytest.mark.parametrize("t, y", [
+    ([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1]),
+    ([0.2, 0.5, 0.5, 0.8], [0, 1, 0, 0]),
+    ([0.5, 0.5, 0.5], [0, 1, 1]),
+], ids=["overlapping", "both outcomes inside", "single forecast"])
+def test_logistic_fit_with_finite_minimiser_converges(t, y):
+    t, y = np.array(t, dtype=float), np.array(y, dtype=float)
+    a, b = _logistic_fit(t, y, np.ones_like(t))
+    e = _sigmoid(a * t + b) - y
+    score = math.hypot(math.fsum((e * t).tolist()), math.fsum(e.tolist()))
+    assert score < 1e-12
+    assert abs(a) < 100 and abs(b) < 100
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0.2, 0.0, 0.5), (0.8, 1.0, 0.5)],
+    [(0.25, 1.0, 0.5), (0.75, 0.0, 0.5)],
+    [(0.2, 0.0, 1.0), (0.8, 1.0, 1.0), (0.9, 0.0, 0.0)],
+], ids=["separable", "separable reversed", "a massless atom overlaps"])
+def test_population_platt_raises_on_separable_atoms(atoms):
+    with pytest.raises(PlattDivergence, match="separable"):
+        population_platt(*zip(*atoms))
+
+
+def test_population_platt_ignores_massless_atoms():
+    # one atom with mass: the minimiser is a line of (a, b), not missing
+    a, b = population_platt([0.3, 0.6], [0.5, 0.0], [1.0, 0.0])
+    assert _sigmoid(a * 0.3 + b) == pytest.approx(0.5, abs=1e-15)
 
 
 def grid_refine_logistic(t, target, w, lo=(-60, -60), hi=(60, 60), rounds=12):
@@ -433,3 +484,21 @@ def test_isotonic_to_json_rejects_non_finite(bad, where):
     bp[where] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
         isotonic_map(bp).to_json()
+
+
+@pytest.mark.parametrize("cal, match", [
+    (CalibratorMap("platt", coefficients=(math.nan, 0.0)), "non-finite"),
+    (CalibratorMap("platt", coefficients=(1.0, -math.inf)), "non-finite"),
+    (CalibratorMap("constant", constant_value=math.nan), "non-finite"),
+    (isotonic_map([[0.2, 0.1], [0.8, math.nan]]), "non-finite"),
+    (isotonic_map([[0.8, 0.9], [0.2, 0.1]]), "strictly increase"),
+    (isotonic_map([[0.2, 0.1], [0.2, 0.9]]), "strictly increase"),
+    (CalibratorMap("isotonic", breakpoints=np.empty((0, 2))), "non-empty"),
+    (isotonic_map([0.2, 0.1]), r"\(m, 2\)"),
+    (isotonic_map([[0.2, 0.1, 0.3], [0.5, 0.6, 0.7]]), r"\(m, 2\)"),
+], ids=["platt nan", "platt inf", "constant nan", "isotonic nan",
+        "isotonic decreasing", "isotonic repeated", "isotonic empty",
+        "isotonic 1-D", "isotonic 3 columns"])
+def test_apply_map_rejects_malformed_maps(cal, match):
+    with pytest.raises(ValidationError, match=match):
+        apply_map(cal, [0.1, 0.5, 0.9])

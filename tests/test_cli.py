@@ -290,6 +290,9 @@ def test_isotonic_report_is_json_dumps_of_the_map(grid, tmp_path,
     ["audit", "{oracle}", "--oracle"],
     ["calibrate", "{empirical}", "--method", "isotonic",
      "--test-input", "{empirical}"],
+    ["certify", "{empirical}", "--c", "4", "--shuffle-seed", "2"],
+    ["decide", "{oracle}", "--tau", "0.35", "--ystar", "0.5"],
+    ["counterexample-platt"],
 ])
 def test_json_file_and_stdout_bytes_agree(args, empirical_csv, oracle_csv,
                                           tmp_path, capsysbinary):
@@ -297,6 +300,32 @@ def test_json_file_and_stdout_bytes_agree(args, empirical_csv, oracle_csv,
     assert main(args + ["--out", str(tmp_path / "r.json")]) == 0
     assert main(args) == 0
     assert (tmp_path / "r.json").read_bytes() == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["audit", "{empirical}"],
+    ["calibrate", "{empirical}", "--method", "platt"],
+    ["certify", "{empirical}", "--c", "4"],
+    ["decide", "{oracle}", "--tau", "0.35"],
+    ["simulate", "--runs", "1", "--n-train", "100", "--n-eval", "200"],
+    ["counterexample-platt"],
+], ids=lambda args: args[0])
+def test_out_into_missing_directory_exit_2(args, empirical_csv, oracle_csv,
+                                           tmp_path, capsys):
+    args = [a.format(oracle=oracle_csv, empirical=empirical_csv) for a in args]
+    out = tmp_path / "missing" / "r.out"
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not out.parent.exists()
+
+
+def test_simulate_too_small_n_train_exit_2(capsys):
+    assert main(["simulate", "--runs", "3", "--n-train", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-train" in captured.err and "Traceback" not in captured.err
 
 
 def test_counterexample_schema_and_certificate(tmp_path, schema):

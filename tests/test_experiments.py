@@ -4,11 +4,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cutoffcal import (GroupedDataset, SimulationConfig, ValidationError,
-                       binned_ece, cutoff_error, lipschitz_wce,
-                       make_perturbed_constant, make_separation_example,
-                       make_staircase, oracle_ece, platt_counterexample,
-                       run_simulation)
+from cutoffcal import (GroupedDataset, SeededRng, SimulationConfig,
+                       ValidationError, binned_ece, cutoff_error,
+                       lipschitz_wce, make_perturbed_constant,
+                       make_separation_example, make_staircase, oracle_ece,
+                       platt_counterexample, run_simulation)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _conditional_mean, _rescaled_atoms
 
@@ -162,6 +162,37 @@ def test_counterexample_deterministic():
     a1 = platt_counterexample()
     a2 = platt_counterexample()
     assert a1[0] == a2[0] and a1[1] == a2[1] and a1[2] == a2[2]
+
+
+def separable(x, y):
+    lo, hi = x[~y], x[y]
+    return (lo.size == 0 or hi.size == 0 or lo.max() <= hi.min()
+            or hi.max() <= lo.min())
+
+
+def test_refits_count_the_separable_training_draws():
+    # replay each run's stream: refits is the number of separable samples
+    # drawn before the first one with a finite logistic fit
+    config = SimulationConfig(runs=50, n_train=10, n_eval=200)
+    records = run_simulation(config)
+    for rec in records:
+        rng = SeededRng(config.master_seed, rec.seed).generator()
+        alpha = float(rng.uniform())
+        draws = 0
+        while True:
+            x = rng.uniform(size=config.n_train)
+            if not separable(x, rng.uniform(size=config.n_train)
+                             < _conditional_mean(x, alpha)):
+                break
+            draws += 1
+        assert (rec.alpha, rec.refits) == (alpha, draws)
+    assert any(rec.refits > 0 for rec in records)
+
+
+def test_simulation_with_only_separable_draws_is_a_validation_error():
+    # two rows are always separable
+    with pytest.raises(ValidationError, match="--n-train"):
+        run_simulation(SimulationConfig(runs=1, n_train=2, n_eval=10))
 
 
 def test_config_validation():

@@ -698,6 +698,14 @@ def test_effective_support_size():
     assert effective_support_size(many, 0.0) == 200_000
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_effective_support_size_does_not_depend_on_mass_scale(scale):
+    # 1 - gamma exceeds the heavier atom's share by 5e-7: both atoms count
+    data = GroupedDataset.from_atoms([(0.2, 0.0, 0.6 * scale),
+                                      (0.7, 0.0, 0.4 * scale)])
+    assert effective_support_size(data, 0.3999995) == 2
+
+
 @pytest.mark.parametrize("gamma", [-0.5, math.nan, 1.5])
 def test_effective_support_size_rejects_bad_gamma(gamma):
     data = grouped_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
