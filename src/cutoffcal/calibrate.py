@@ -206,9 +206,11 @@ def fit_platt(cols: Columns) -> CalibratorMap:
 
 def population_platt(forecasts, means, masses) -> tuple:
     """Exact population logistic minimizer on weighted atoms (no smoothing);
-    atoms are checked like GroupedDataset.from_atoms's."""
+    atoms are checked like GroupedDataset.from_atoms's. Masses are fitted
+    scaled to total 1, so the stop floor cannot underflow or overflow."""
     t, q = _check_rows(forecasts, means=means)
     w = _check_weights("masses", masses, t.shape)
+    w = w / np.sum(w)
     theta = _logistic_fit(t, w * q, w)
     return float(theta[0]), float(theta[1])
 
@@ -274,6 +276,6 @@ def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
         idx = np.clip(np.searchsorted(xs, z, side="right") - 1, 0, len(xs) - 1)
         out = vs[idx]
     else:
-        raise ValueError(f"unknown map kind: {cal.kind!r}")
+        raise ValidationError(f"unknown map kind: {cal.kind!r}")
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out

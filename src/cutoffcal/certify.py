@@ -9,7 +9,7 @@ back to the constant predictor at the second-half outcome mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,19 +40,13 @@ class CertificationVerdict:
     n: int
 
     def to_dict(self) -> dict:
-        model = self.returned_model
-        return {
-            "accepted": self.accepted,
-            "estimate": self.estimate,
-            "threshold": self.threshold,
-            "c": self.c,
-            "delta": self.delta,
-            "fallback_mean": self.fallback_mean,
-            "n": self.n,
-            "returned_model": (model.to_dict()
+        """Fields in order, returned_model last: its dict or trained:<type>."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        model = d.pop("returned_model")
+        d["returned_model"] = (model.to_dict()
                                if isinstance(model, CalibratorMap)
-                               else f"trained:{type(model).__name__}"),
-        }
+                               else f"trained:{type(model).__name__}")
+        return d
 
 
 def min_admissible_c(n: int, delta: float) -> float:
@@ -61,7 +55,7 @@ def min_admissible_c(n: int, delta: float) -> float:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
     if not n >= 2:
         raise ValidationError(f"need n >= 2 samples, got {n!r}")
-    return math.sqrt(math.log(1.0 / delta) / (2.0 * (n // 2)))
+    return math.sqrt(-math.log(delta) / (2.0 * (n // 2)))
 
 
 def certify(covariates, outcomes,

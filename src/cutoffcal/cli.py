@@ -63,7 +63,8 @@ def cmd_audit(args) -> str:
     reports = [
         _metric_report("cutoff", est.value, data.n,
                        {"delta": args.delta,
-                        "radius": est.concentration_radius(args.delta)},
+                        "radius": met.concentration_radius(data.n,
+                                                           args.delta)},
                        est.argmax_interval),
         _metric_report("binned_ece", met.binned_ece(data, args.bins), data.n,
                        {"bins": args.bins}),
@@ -190,11 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", parents=[out],
                        help="misspecified-logistic simulation")
-    s.add_argument("--runs", type=int, default=100)
-    s.add_argument("--n-train", type=int, default=500)
-    s.add_argument("--n-eval", type=int, default=10000)
-    s.add_argument("--tau", type=float, default=0.35)
-    s.add_argument("--seed", type=int, default=0)
+    cfg = exp.SimulationConfig  # the options' defaults are its fields'
+    s.add_argument("--runs", type=int, default=cfg.runs)
+    s.add_argument("--n-train", type=int, default=cfg.n_train)
+    s.add_argument("--n-eval", type=int, default=cfg.n_eval)
+    s.add_argument("--tau", type=float, default=cfg.tau)
+    s.add_argument("--seed", type=int, default=cfg.master_seed)
     s.set_defaults(func=cmd_simulate)
 
     x = sub.add_parser("counterexample-platt", parents=[out],

@@ -60,12 +60,13 @@ def _check_rows(forecasts, **columns) -> list:
 
 def _check_weights(name: str, values, shape) -> np.ndarray:
     """values as a float array; ValidationError unless they are finite,
-    non-negative, one per row of the given shape, with a positive sum."""
+    non-negative, one per row of the given shape, with a sum in (0, inf)."""
     w = np.asarray(values, dtype=float)
-    if (w.shape != shape or not np.all(np.isfinite(w)) or np.any(w < 0.0)
-            or not np.sum(w) > 0.0):
-        raise ValidationError(f"{name} must be finite, non-negative, one per "
-                              "forecast, with a positive sum")
+    with np.errstate(over="ignore"):
+        if (w.shape != shape or not np.all(np.isfinite(w)) or np.any(w < 0.0)
+                or not 0.0 < np.sum(w) < math.inf):
+            raise ValidationError(f"{name} must be finite, non-negative, one "
+                                  "per forecast, with a finite positive sum")
     return w
 
 

@@ -153,16 +153,16 @@ def make_perturbed_constant(epsilon: float) -> List[Tuple[float, float, float]]:
     return [(0.75 - epsilon, 1.0, 0.75), (0.75 + epsilon, 0.0, 0.25)]
 
 
-def _rescaled_atoms(forecasts, means, a: float, b: float) -> GroupedDataset:
-    """Equal-mass atoms after sigmoid(a*v + b), coincident images pooled."""
-    z = _sigmoid(a * np.asarray(forecasts) + b)
-    return GroupedDataset.from_atoms([(zv, q, 0.25)
-                                      for zv, q in zip(z.tolist(), means)])
+def _rescaled_atoms(atoms, a: float, b: float) -> GroupedDataset:
+    """(v, mean, mass) atoms moved to sigmoid(a*v + b); equal images pooled."""
+    v, q, w = np.array(atoms, dtype=float).T
+    z = _sigmoid(a * v + b)
+    return GroupedDataset.from_atoms(np.column_stack((z, q, w)))
 
 
-def _certified_wce(forecasts, means, a: float, b: float) -> float:
-    """Lipschitz weighted error of the rescaled atoms sigmoid(a*v + b)."""
-    return lipschitz_wce(_rescaled_atoms(forecasts, means, a, b)).objective
+def _certified_wce(atoms, a: float, b: float) -> float:
+    """Lipschitz weighted error of the atoms rescaled by sigmoid(a*v + b)."""
+    return lipschitz_wce(_rescaled_atoms(atoms, a, b)).objective
 
 
 # the largest scan error of 200 SeededRng(20240915) draws with wCE > 0.01
@@ -183,9 +183,7 @@ def platt_counterexample():
 
     Returns (atoms, (a, b), certified_wce).
     """
-    forecasts = [0.0, 0.25, 0.5, 1.0]
-    masses = [0.25] * 4
-    q = _COUNTEREXAMPLE_MEANS
-    a, b = population_platt(forecasts, q, masses)
-    atoms = list(zip(forecasts, q, masses))
-    return atoms, (a, b), _certified_wce(forecasts, q, a, b)
+    atoms = [(t, q, 0.25)
+             for t, q in zip((0.0, 0.25, 0.5, 1.0), _COUNTEREXAMPLE_MEANS)]
+    a, b = population_platt(*zip(*atoms))
+    return atoms, (a, b), _certified_wce(atoms, a, b)

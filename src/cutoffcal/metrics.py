@@ -36,7 +36,8 @@ def concentration_radius(n: float, delta: float) -> float:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
     if not 0.0 < n < math.inf:
         raise ValidationError(f"n must be finite and > 0, got {n!r}")
-    return (20.0 + math.sqrt(2.0 * math.log(1.0 / delta))) / math.sqrt(n)
+    # -log(delta), not log(1/delta): 1/delta overflows below about 5.6e-309
+    return (20.0 + math.sqrt(2.0 * -math.log(delta))) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,6 @@ class CutoffEstimate:
 
     value: float
     argmax_interval: Optional[Tuple[int, int]]
-    n: float
-
-    def concentration_radius(self, delta: float) -> float:
-        return concentration_radius(self.n, delta)
 
 
 def _prefix_sums(residual_sums: np.ndarray) -> np.ndarray:
@@ -84,9 +81,9 @@ def cutoff_error(data: GroupedDataset) -> CutoffEstimate:
     i_min = int(np.argmin(prefix))
     spread = float(prefix[i_max] - prefix[i_min])
     if spread <= 0.0:
-        return CutoffEstimate(0.0, None, data.n)
+        return CutoffEstimate(0.0, None)
     lo, hi = (i_min, i_max) if i_min < i_max else (i_max, i_min)
-    return CutoffEstimate(spread / data.n, (lo, hi - 1), data.n)
+    return CutoffEstimate(spread / data.n, (lo, hi - 1))
 
 
 def binned_ece(data: GroupedDataset, num_bins: int) -> float:

@@ -289,7 +289,7 @@ def test_criterion_10_counterexample_certificate():
     forecasts = [0.0, 0.25, 0.5, 1.0]
     q = _sigmoid(2.0 * np.array(forecasts) - 0.5).tolist()
     a, b = population_platt(forecasts, q, [0.25] * 4)
-    control = _certified_wce(forecasts, q, a, b)
+    control = _certified_wce(list(zip(forecasts, q, [0.25] * 4)), a, b)
     report(10, wce > 0.01 and control < 1e-3,
            f"certified wce {wce:.4f} > 0.01; realizable control {control:.2e}"
            f" < 1e-3")

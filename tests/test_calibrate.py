@@ -255,6 +255,38 @@ def test_logistic_fit_with_finite_minimiser_converges(t, y):
     assert abs(a) < 100 and abs(b) < 100
 
 
+def test_logistic_fit_halves_steps_that_raise_the_loss(monkeypatch):
+    # full Newton steps overshoot on this input; the line search halves
+    # them, so the loss is evaluated more often than once per step
+    losses, steps = [], []
+    logaddexp, lstsq = np.logaddexp, np.linalg.lstsq
+    monkeypatch.setattr(np, "logaddexp",
+                        lambda *a: losses.append(1) or logaddexp(*a))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: steps.append(1) or lstsq(*a, **k))
+    t = np.array([0.0, 0.25, 0.5, 1.0])
+    counts = np.array([1e6, 1e4, 1e4, 1.0])
+    target_sums = np.array([1e6, 1e4, 9990.0, 0.001])
+    a, b = _logistic_fit(t, target_sums, counts)
+    monkeypatch.undo()
+    assert len(losses) > len(steps) + 1
+    assert a == pytest.approx(-34.359, abs=1e-3)
+    assert b == pytest.approx(24.086, abs=1e-3)
+    # the recomputed gradient meets the stop floor
+    e = counts * _sigmoid(a * t + b) - target_sums
+    score = math.hypot(math.fsum((e * t).tolist()), math.fsum(e.tolist()))
+    floor = (np.finfo(float).eps * t.size.bit_length()
+             * math.fsum((counts + target_sums).tolist()))
+    assert score <= floor
+
+
+def test_logistic_fit_raises_after_max_iter(monkeypatch):
+    monkeypatch.setattr("cutoffcal.calibrate._MAX_ITER", 1)
+    t = np.array([0.2, 0.4, 0.6, 0.8])
+    with pytest.raises(PlattDivergence, match="did not converge"):
+        _logistic_fit(t, np.array([0.0, 1.0, 0.0, 1.0]), np.ones_like(t))
+
+
 @pytest.mark.parametrize("atoms", [
     [(0.2, 0.0, 0.5), (0.8, 1.0, 0.5)],
     [(0.25, 1.0, 0.5), (0.75, 0.0, 0.5)],
@@ -427,8 +459,10 @@ def test_platt_rejects_malformed_columns(fit, t, y, match):
     ([0.2, 0.5], [math.nan, 0.4], [1.0, 1.0], "means"),
     ([0.2, 1.5], [0.3, 0.4], [1.0, 1.0], "forecasts"),
     ([0.2, 0.5], [0.3, 0.4], [1.0, math.inf], "masses"),
+    ([0.2, 0.5], [0.3, 0.4], [1e308, 1e308], "masses"),
 ], ids=["length mismatch", "masses mismatch", "negative mass", "zero mass",
-        "NaN mean", "forecast out of range", "infinite mass"])
+        "NaN mean", "forecast out of range", "infinite mass",
+        "mass sum overflows"])
 def test_population_platt_rejects_malformed_atoms(t, q, w, match):
     with pytest.raises(ValidationError, match=match):
         population_platt(t, q, w)
@@ -496,9 +530,10 @@ def test_isotonic_to_json_rejects_non_finite(bad, where):
     (CalibratorMap("isotonic", breakpoints=np.empty((0, 2))), "non-empty"),
     (isotonic_map([0.2, 0.1]), r"\(m, 2\)"),
     (isotonic_map([[0.2, 0.1, 0.3], [0.5, 0.6, 0.7]]), r"\(m, 2\)"),
+    (CalibratorMap("unknown"), "unknown map kind"),
 ], ids=["platt nan", "platt inf", "constant nan", "isotonic nan",
         "isotonic decreasing", "isotonic repeated", "isotonic empty",
-        "isotonic 1-D", "isotonic 3 columns"])
+        "isotonic 1-D", "isotonic 3 columns", "unknown kind"])
 def test_apply_map_rejects_malformed_maps(cal, match):
     with pytest.raises(ValidationError, match=match):
         apply_map(cal, [0.1, 0.5, 0.9])

@@ -102,6 +102,14 @@ def test_verdict_to_dict_roundtrips_fallback():
                       "fallback_mean"}
 
 
+def test_verdict_to_dict_keys_in_report_order():
+    verdict = certify([0.5] * 100, [0.0, 1.0] * 50, identity_trainer,
+                      c=4.0, delta=0.1)
+    assert list(verdict.to_dict()) == ["accepted", "estimate", "threshold",
+                                       "c", "delta", "fallback_mean", "n",
+                                       "returned_model"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), 3.0])
 def test_trainer_output_out_of_range_raises(bad):
     def trainer(train_cov, train_y):
@@ -210,3 +218,10 @@ def test_non_finite_c_raises(c):
 def test_min_admissible_c_needs_two_samples(n):
     with pytest.raises(ValidationError, match="n >= 2"):
         min_admissible_c(n, 0.05)
+
+
+def test_min_admissible_c_at_tiny_delta():
+    # 1/delta overflows for the smallest subnormal; ln(1/delta) does not
+    ln_inverse = 300 * math.log(10) - math.log(5e-324 * 1e300)
+    assert min_admissible_c(100, 5e-324) == pytest.approx(
+        math.sqrt(ln_inverse / 100), rel=1e-12)

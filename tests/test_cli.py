@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -71,6 +72,17 @@ def test_audit_schema_and_metrics(empirical_csv, tmp_path, schema):
     assert cutoff["params"]["delta"] == 0.05
     assert cutoff["params"]["radius"] > 0
     assert 0 <= obj["reports"][2]["params"]["certificate"] < 1e-12
+
+
+def test_audit_tiny_delta_reports_finite_radius(empirical_csv, tmp_path,
+                                               schema):
+    # 1/delta overflows at this delta; the radius needs only ln(1/delta)
+    code, obj = run_json(["audit", str(empirical_csv), "--delta", "1e-310"],
+                         tmp_path)
+    assert code == 0
+    validate(obj, schema)
+    radius = obj["reports"][0]["params"]["radius"]
+    assert math.isfinite(radius) and radius > 0
 
 
 def test_audit_oracle_mode(oracle_csv, tmp_path, schema):

@@ -151,6 +151,11 @@ def test_from_atoms_rejects_bad_atoms(atom):
         GroupedDataset.from_atoms([(0.2, 0.3, 0.5), atom])
 
 
+def test_from_atoms_rejects_masses_whose_sum_overflows():
+    with pytest.raises(ValidationError, match="finite positive sum"):
+        GroupedDataset.from_atoms([(0.2, 0.3, 1e308), (0.5, 0.2, 1e308)])
+
+
 @pytest.mark.parametrize("atoms", [
     [(0.5, 0.5), (0.3, 0.2), (0.1, 0.9)],
     [(0.5, 0.5, 1.0, 1.0)],
@@ -277,6 +282,17 @@ def test_loader_values_match_float(pairs, fmt):
         line_parser(text).tobytes()
 
 
+@pytest.mark.parametrize("text, match", [
+    (b"", "empty input"),
+    (b"\xef\xbb\xbf", "empty input"),
+    (b"forecast,label\n0.5,1\n", "bad CSV header"),
+    (b"0.5,1\n0.2,0\n", "bad CSV header"),
+], ids=["empty", "byte-order mark only", "wrong column", "no header"])
+def test_load_rejects_bad_header_and_empty_input(text, match):
+    with pytest.raises(ValidationError, match=match):
+        load_columns(text)
+
+
 def test_load_rejects_non_utf8():
     with pytest.raises(ValidationError, match="UTF-8"):
         load_columns(b"forecast,outcome\n0.5,1\xff\n")
@@ -319,6 +335,7 @@ def test_seeded_rng_accepts_numpy_integers():
     dict(n=0),
     dict(n=math.inf),
     dict(n=math.nan),
+    dict(forecasts=[0.2, 0.1]),
 ])
 def test_grouped_dataset_rejects_impossible_input(kwargs):
     args = dict(forecasts=[0.1, 0.2], residual_sums=[0.3, -0.1],

@@ -259,6 +259,7 @@ def test_mixture_rejects_impossible_atoms(atoms, match):
     dict(weights=[1.0, float("inf")]),
     dict(weights=[0.0, 0.0]),
     dict(weights=[1.0]),
+    dict(weights=[1e308, 1e308]),
 ])
 def test_eval_set_rejects_invalid_input(kwargs):
     args = dict(forecasts=[0.2, 0.8], means=[0.3, 0.6], tau=0.5)

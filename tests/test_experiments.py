@@ -136,11 +136,14 @@ def test_counterexample_values_pinned():
     assert abs(wce - 0.02100632887391212) <= 1e-15
 
 
-def test_population_platt_converges_at_large_mass():
+@pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e8, 1e300, 1e307])
+def test_population_platt_converges_at_large_mass(scale):
     # scaling every mass leaves the minimiser in place; an absolute
-    # gradient tolerance could not be met once the sums reach 1e8
+    # gradient tolerance could not be met once the sums reach 1e8, and
+    # fitted unscaled, the gradient's squared norm underflows to 0 at
+    # 1e-300 and overflows at 1e300
     t, q, w = map(np.array, zip(*platt_counterexample()[0]))
-    a, b = population_platt(t, q, w * 1e8)
+    a, b = population_platt(t, q, w * scale)
     assert abs(a - COUNTEREXAMPLE_MINIMISER[0]) <= 1e-15
     assert abs(b - COUNTEREXAMPLE_MINIMISER[1]) <= 1e-15
 
@@ -148,7 +151,8 @@ def test_population_platt_converges_at_large_mass():
 def test_rescaled_atoms_pool_coincident_images():
     # sigmoid(a*v + b) saturates to exactly 1.0 for the upper three atoms
     q = [0.1, 0.2, 0.4, 0.9]
-    data = _rescaled_atoms([0.0, 0.25, 0.5, 1.0], q, 400.0, -50.0)
+    atoms = [(v, m, 0.25) for v, m in zip([0.0, 0.25, 0.5, 1.0], q)]
+    data = _rescaled_atoms(atoms, 400.0, -50.0)
     assert data.forecasts[-1] == 1.0 and len(data) == 2
     assert data.counts.tolist() == [0.25, 0.75]
     assert data.n == 1.0

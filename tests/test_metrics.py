@@ -161,9 +161,17 @@ def test_cutoff_order_only_invariance():
 
 
 def test_concentration_radius_formula():
-    est = cutoff_error(grouped_from_arrays([0.5], [0.5]))
+    data = grouped_from_arrays([0.5], [0.5])
     expected = (20 + math.sqrt(2 * math.log(20))) / math.sqrt(1)
-    assert est.concentration_radius(0.05) == pytest.approx(expected)
+    assert concentration_radius(data.n, 0.05) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+def test_concentration_radius_at_tiny_delta(delta):
+    # 1/delta overflows below about 5.6e-309; ln(1/delta) does not
+    ln_inverse = 300 * math.log(10) - math.log(delta * 1e300)
+    assert concentration_radius(100, delta) == pytest.approx(
+        (20 + math.sqrt(2 * ln_inverse)) / 10, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [float("nan"), 0, 0.0, -1, float("inf")])
