@@ -42,14 +42,15 @@ class CalibratorMap:
     """
 
     kind: str
-    breakpoints: Optional[np.ndarray] = None  # isotonic: (m, 2) float array
+    breakpoints: Optional[np.ndarray] = None  # isotonic: (m, 2) array-like
     coefficients: Optional[tuple] = None    # (a, b) for platt
     constant_value: Optional[float] = None
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "isotonic":
-            d["breakpoints"] = self.breakpoints.tolist()
+            d["breakpoints"] = np.asarray(self.breakpoints,
+                                          dtype=float).tolist()
         elif self.kind == "platt":
             d["coefficients"] = {"a": self.coefficients[0],
                                  "b": self.coefficients[1]}
@@ -60,14 +61,15 @@ class CalibratorMap:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), allow_nan=False), the same bytes.
 
-        A float isotonic map is written from its array: each input and each
-        run of bit-identical values (-0.0 apart from 0.0) is formatted once
-        with float.__repr__, as the encoder does, and a run is one join of
-        its input reprs. ValueError on a non-finite entry, as allow_nan.
+        A non-empty isotonic map is written from its breakpoints as floats,
+        as to_dict reads them: each input and each run of bit-identical
+        values (-0.0 apart from 0.0) is formatted once with float.__repr__,
+        as the encoder does, and a run is one join of its input reprs.
+        ValueError on a non-finite entry, as allow_nan.
         """
-        bp = self.breakpoints
-        if self.kind != "isotonic" or bp.dtype != np.float64 or bp.size == 0:
+        if self.kind != "isotonic" or np.size(self.breakpoints) == 0:
             return json.dumps(self.to_dict(), allow_nan=False)
+        bp = np.asarray(self.breakpoints, dtype=float)
         if not np.all(np.isfinite(bp)):
             raise ValueError("Out of range float values are not JSON compliant")
         bits = np.ascontiguousarray(bp).view(np.int64)[:, 1]
@@ -126,6 +128,8 @@ _MAX_ITER = 200
 def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
     """Damped Newton for the logistic loss of pooled groups: minimizes
     sum_g [counts_g log(1 + e^z_g) - target_sums_g z_g], z_g = a t_g + b.
+    Each term is taken as target_sums_g log(1 + e^-z_g) + (counts_g -
+    target_sums_g) log(1 + e^z_g), whose parts cannot cancel at saturation.
 
     Each step is lstsq(H, grad), halved up to 50 times until the loss does
     not rise beyond rounding slack. The fit stops once |grad| is within the
@@ -153,8 +157,8 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
 
     def loss(th):
         z = th[0] * t + th[1]
-        return float(np.sum(counts * np.logaddexp(0.0, z)
-                            - target_sums * z)), z
+        return float(np.sum(target_sums * np.logaddexp(0.0, -z)
+                            + (counts - target_sums) * np.logaddexp(0.0, z))), z
 
     cur, z = loss(theta)
     for _ in range(_MAX_ITER):

@@ -21,6 +21,7 @@ __all__ = [
     "GroupedDataset",
     "SeededRng",
     "load_columns",
+    "grouped_from_arrays",
 ]
 
 
@@ -161,9 +162,9 @@ class Columns(NamedTuple):
 
 def _parse_header(line: str, mode: str) -> bool:
     cols = [c.strip() for c in line.strip().split(",")]
-    if cols[:2] != ["forecast", "outcome"]:
+    has_oracle = cols == ["forecast", "outcome", "oracle_mean"]
+    if cols != ["forecast", "outcome"] and not has_oracle:
         raise ValidationError(f"bad CSV header: {line.strip()!r}")
-    has_oracle = len(cols) >= 3 and cols[2] == "oracle_mean"
     if mode == "oracle" and not has_oracle:
         raise ValidationError("oracle mode requested but oracle_mean column absent")
     return has_oracle

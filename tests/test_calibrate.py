@@ -241,17 +241,30 @@ def test_logistic_fit_without_finite_minimiser_raises_at_once(t, y,
     assert not calls
 
 
-@pytest.mark.parametrize("t, y", [
-    ([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1]),
-    ([0.2, 0.5, 0.5, 0.8], [0, 1, 0, 0]),
-    ([0.5, 0.5, 0.5], [0, 1, 1]),
-], ids=["overlapping", "both outcomes inside", "single forecast"])
-def test_logistic_fit_with_finite_minimiser_converges(t, y):
-    t, y = np.array(t, dtype=float), np.array(y, dtype=float)
-    a, b = _logistic_fit(t, y, np.ones_like(t))
-    e = _sigmoid(a * t + b) - y
+@pytest.mark.parametrize("t, target_sums, counts", [
+    ([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1], [1, 1, 1, 1]),
+    ([0.2, 0.5, 0.5, 0.8], [0, 1, 0, 0], [1, 1, 1, 1]),
+    ([0.5, 0.5, 0.5], [0, 1, 1], [1, 1, 1]),
+    # minimisers that saturate the sigmoid: there the loss written as
+    # counts_g log(1 + e^z_g) - target_sums_g z_g cancels, and the line
+    # search cannot see a step's progress
+    ([0.0, 0.25, 0.75], [5, 1e6, 0], [10, 1e6, 1e5]),
+    ([0.25, 0.75, 1.0], [1e5, 0, 100], [1e5, 0.01, 100]),
+    ([0.0, 0.5, 1.0], [0, 1e7, 0], [0.1, 1e7, 1e5]),
+], ids=["overlapping", "both outcomes inside", "single forecast",
+        "saturated, light low group", "saturated, light middle group",
+        "saturated, heavy middle group"])
+def test_logistic_fit_with_finite_minimiser_converges(t, target_sums, counts):
+    t, target_sums, counts = (np.array(v, dtype=float)
+                              for v in (t, target_sums, counts))
+    a, b = _logistic_fit(t, target_sums, counts)
+    # the recomputed gradient meets the stop floor, which is below 1e-12
+    # at unit counts
+    e = counts * _sigmoid(a * t + b) - target_sums
     score = math.hypot(math.fsum((e * t).tolist()), math.fsum(e.tolist()))
-    assert score < 1e-12
+    floor = (np.finfo(float).eps * t.size.bit_length()
+             * math.fsum((counts + target_sums).tolist()))
+    assert score <= floor
     assert abs(a) < 100 and abs(b) < 100
 
 
@@ -479,7 +492,8 @@ def reference_json(cal):
 @pytest.mark.parametrize("cal", list(MAPS.values()) + [
     CalibratorMap("isotonic", breakpoints=np.empty((0, 2))),
     CalibratorMap("isotonic", breakpoints=np.array([[0, 0], [1, 1]])),
-], ids=list(MAPS) + ["isotonic-empty", "isotonic-int"])
+    CalibratorMap("isotonic", breakpoints=[[0.2, 0.1], [0.8, 0.9]]),
+], ids=list(MAPS) + ["isotonic-empty", "isotonic-int", "isotonic-list"])
 def test_to_json_is_json_dumps_of_to_dict(cal):
     assert cal.to_json() == reference_json(cal)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -108,6 +109,14 @@ def test_verdict_to_dict_keys_in_report_order():
     assert list(verdict.to_dict()) == ["accepted", "estimate", "threshold",
                                        "c", "delta", "fallback_mean", "n",
                                        "returned_model"]
+
+
+def test_verdict_with_list_breakpoints_map_serialises():
+    rows = [[0.2, 0.1], [0.8, 0.9]]
+    model = CalibratorMap("isotonic", breakpoints=rows)
+    verdict = CertificationVerdict(True, 0.1, 0.5, 1.0, 0.05, model, 0.5, 100)
+    d = json.loads(json.dumps(verdict.to_dict(), allow_nan=False))
+    assert d["returned_model"] == {"kind": "isotonic", "breakpoints": rows}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 3.0])

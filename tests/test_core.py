@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import io
 import math
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cutoffcal
 from cutoffcal import (Columns, GroupedDataset, SeededRng, ValidationError,
                        core, cutoff_error, grouped_from_arrays, load_columns)
 
@@ -287,7 +290,10 @@ def test_loader_values_match_float(pairs, fmt):
     (b"\xef\xbb\xbf", "empty input"),
     (b"forecast,label\n0.5,1\n", "bad CSV header"),
     (b"0.5,1\n0.2,0\n", "bad CSV header"),
-], ids=["empty", "byte-order mark only", "wrong column", "no header"])
+    (b"forecast,outcome,weight\n0.5,1\n", "bad CSV header"),
+    (b"forecast,outcome,weight\n0.5,1,2\n", "bad CSV header"),
+], ids=["empty", "byte-order mark only", "wrong column", "no header",
+        "unknown column, two values", "unknown column, three values"])
 def test_load_rejects_bad_header_and_empty_input(text, match):
     with pytest.raises(ValidationError, match=match):
         load_columns(text)
@@ -372,3 +378,12 @@ def test_pooled_sums_large_groups_match_exact_fractions():
     for got, want in zip(data.residual_sums.tolist(),
                          exact_group_sums(t.tolist(), v.tolist())):
         assert abs(Fraction(got) - want) <= Fraction(1, 10**12)
+
+
+def test_package_exports_each_modules_all():
+    modules = [importlib.import_module(f"cutoffcal.{name}")
+               for name in ("core", "metrics", "calibrate", "decision",
+                            "certify", "experiments")]
+    public = {name for name, value in vars(cutoffcal).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set().union(*(m.__all__ for m in modules))
