@@ -6,7 +6,6 @@ from .core import *
 from .metrics import *
 from .calibrate import *
 from .decision import *
-from .certify import *
 from .experiments import *
 
 __version__ = "0.1.0"

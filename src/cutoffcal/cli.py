@@ -16,7 +16,6 @@ from . import calibrate as cal
 from . import decision as dec
 from . import experiments as exp
 from . import metrics as met
-from .certify import certify as run_certify
 from .core import (SeededRng, ValidationError, grouped_from_arrays,
                    load_columns)
 
@@ -41,9 +40,13 @@ def _lipschitz_report(name, data):
                           {"certificate": lw.kkt_residual})
 
 
-def _read_columns(path, mode="empirical"):
+def _read_columns(path, oracle=False):
+    """The file's columns; with oracle, the file must have oracle_mean."""
     with open(path, "rb") as fh:
-        return load_columns(fh, mode=mode)
+        cols = load_columns(fh)
+    if oracle and cols.oracle_means is None:
+        raise ValidationError(f"{path} has no oracle_mean column")
+    return cols
 
 
 def _json(obj) -> str:
@@ -56,8 +59,7 @@ def _json(obj) -> str:
 
 
 def cmd_audit(args) -> str:
-    mode = "oracle" if args.oracle else "empirical"
-    cols = _read_columns(args.input, mode=mode)
+    cols = _read_columns(args.input, oracle=args.oracle)
     data = grouped_from_arrays(cols.forecasts, cols.outcomes)
     est = met.cutoff_error(data)
     reports = [
@@ -112,13 +114,13 @@ def cmd_certify(args) -> str:
         return lambda x: x
 
     seed = SeededRng(args.shuffle_seed) if args.shuffle_seed is not None else None
-    verdict = run_certify(cols.forecasts, cols.outcomes, pretrained,
+    verdict = cal.certify(cols.forecasts, cols.outcomes, pretrained,
                           args.c, args.delta, split_seed=seed)
     return _json(verdict.to_dict())
 
 
 def cmd_decide(args) -> str:
-    t, y, mu = _read_columns(args.input, mode="oracle")
+    t, y, mu = _read_columns(args.input, oracle=True)
     ev = dec.DecisionEvalSet(t, mu, args.tau)
     risk, bayes, mono = dec.risks(ev)
     result = {"risk": risk, "bayes_risk": bayes, "monotone_risk": mono,

@@ -1,9 +1,10 @@
 """Data model and CSV ingestion shared by all metrics and calibrators.
 
 Per-row data lives in numpy columns (`Columns`): forecast, outcome and,
-in oracle mode, the conditional mean, every value in [0, 1]. Pooling
-merges rows, or weighted atoms, with bitwise-equal forecasts, since an
-interval of forecast values either contains all copies of a value or none.
+when the file has the column, the conditional mean, every value in
+[0, 1]. Pooling merges rows, or weighted atoms, with bitwise-equal
+forecasts, since an interval of forecast values either contains all
+copies of a value or none.
 """
 
 from __future__ import annotations
@@ -160,13 +161,11 @@ class Columns(NamedTuple):
     oracle_means: Optional[np.ndarray] = None
 
 
-def _parse_header(line: str, mode: str) -> bool:
+def _parse_header(line: str) -> bool:
     cols = [c.strip() for c in line.strip().split(",")]
     has_oracle = cols == ["forecast", "outcome", "oracle_mean"]
     if cols != ["forecast", "outcome"] and not has_oracle:
         raise ValidationError(f"bad CSV header: {line.strip()!r}")
-    if mode == "oracle" and not has_oracle:
-        raise ValidationError("oracle mode requested but oracle_mean column absent")
     return has_oracle
 
 
@@ -193,17 +192,18 @@ def _parse_lines(lines: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def load_columns(source, mode: str = "empirical") -> Columns:
+def load_columns(source) -> Columns:
     """Parse a CSV byte stream (or bytes/str) into float columns.
 
     Header must be ``forecast,outcome[,oracle_mean]``, after at most one
-    UTF-8 byte-order mark (as Excel writes it). The data lines are
-    parsed in one vectorised pass and checked as a whole. When that check
-    fails they are parsed again line by line with float(), which decides:
-    it raises ValidationError with the offending line number, or accepts
-    what float() accepts and np.loadtxt does not, such as underscore
-    digits and whitespace-only lines. Blank lines are skipped and row
-    order is preserved.
+    UTF-8 byte-order mark (as Excel writes it); oracle_means is None
+    without the third column. The data lines are parsed in one vectorised
+    pass and checked as a whole. When that check fails they are parsed
+    again line by line with float(), which decides: it raises
+    ValidationError with the offending line number, or accepts what
+    float() accepts and np.loadtxt does not, such as underscore digits and
+    whitespace-only lines. Blank lines are skipped and row order is
+    preserved.
     """
     raw = source.read() if hasattr(source, "read") else source
     try:
@@ -213,8 +213,7 @@ def load_columns(source, mode: str = "empirical") -> Columns:
     lines = text.removeprefix("\ufeff").splitlines()
     if not lines:
         raise ValidationError("empty input")
-    has_oracle = _parse_header(lines[0], mode)
-    width = 3 if has_oracle else 2
+    width = 3 if _parse_header(lines[0]) else 2
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on zero rows

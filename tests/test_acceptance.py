@@ -2,7 +2,6 @@
 single PASS line with its measured quantities (visible with pytest -v -s
 or in captured output on failure)."""
 
-import itertools
 import math
 import time
 
@@ -17,7 +16,9 @@ from cutoffcal import (Columns, DecisionEvalSet, GroupedDataset, SeededRng,
                        risks, run_simulation, SimulationConfig, apply_map)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _certified_wce
-from cutoffcal.metrics import _prefix_sums, concentration_radius
+from cutoffcal.metrics import concentration_radius
+from oracles import (brute_force_cutoff, exhaustive_monotone_lsq,
+                     grid_search_wce)
 
 
 def report(num, ok, detail):
@@ -26,15 +27,6 @@ def report(num, ok, detail):
 
 
 # ---------------------------------------------------------------- 1
-
-
-def brute_force_cutoff(data):
-    prefix = _prefix_sums(data.residual_sums)
-    best = 0.0
-    for i in range(len(prefix)):
-        for j in range(i + 1, len(prefix)):
-            best = max(best, abs(float(prefix[j] - prefix[i])))
-    return best / data.n
 
 
 def test_criterion_01_scan_equals_enumeration():
@@ -232,25 +224,6 @@ def test_criterion_08_isotonic_holdout():
 # ---------------------------------------------------------------- 9
 
 
-def exhaustive_monotone_lsq(t, y):
-    order = np.argsort(t, kind="stable")
-    y = np.asarray(y, dtype=float)[order]
-    n = len(y)
-    best_sse, best_fit = np.inf, None
-    for mask in itertools.product([0, 1], repeat=n - 1):
-        bounds = [0] + [i + 1 for i, m in enumerate(mask) if m] + [n]
-        means = [y[a:b].mean() for a, b in zip(bounds, bounds[1:])]
-        if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
-            continue
-        fit = np.concatenate([np.full(b - a, m)
-                              for (a, b), m in zip(zip(bounds, bounds[1:]),
-                                                   means)])
-        sse = float(np.sum((fit - y) ** 2))
-        if sse < best_sse - 1e-15:
-            best_sse, best_fit = sse, fit
-    return best_fit
-
-
 def test_criterion_09_isotonic_oracle():
     gen = np.random.default_rng(9009)
     worst = 0.0
@@ -296,18 +269,6 @@ def test_criterion_10_counterexample_certificate():
 
 
 # ---------------------------------------------------------------- 11
-
-
-def grid_search_wce(data, points=41):
-    grid = np.linspace(-1.0, 1.0, points)
-    r = data.residual_sums / data.n
-    dt = np.diff(data.forecasts)
-    value = grid * r[0]
-    for j in range(1, len(r)):
-        feasible = np.abs(grid[None, :] - grid[:, None]) <= dt[j - 1] + 1e-12
-        carried = np.where(feasible, value[:, None], -np.inf).max(axis=0)
-        value = carried + grid * r[j]
-    return float(value.max())
 
 
 def test_criterion_11_lp_certified():

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -13,36 +12,11 @@ from cutoffcal import (CalibratorMap, Columns, ValidationError, apply_map,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
 from cutoffcal.calibrate import (PlattDivergence, _logistic_fit, _pava,
                                  _sigmoid, population_platt, smoothed_targets)
+from oracles import exhaustive_monotone_lsq
 
 
 def make_columns(t, y):
     return Columns(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
-
-
-def exhaustive_monotone_lsq(t, y):
-    """Oracle: minimize sum (v_i - y_i)^2 over non-decreasing v, n <= 8.
-
-    Enumerates all contiguous-block partitions of the sorted points; within
-    a block the optimal value is the block mean, and a partition is optimal
-    iff its block means are attained (clipping handled by comparing SSE
-    over all partitions with means forced non-decreasing via isotonic
-    ordering check).
-    """
-    order = np.argsort(t, kind="stable")
-    y = np.asarray(y, dtype=float)[order]
-    n = len(y)
-    best_sse, best_fit = np.inf, None
-    for mask in itertools.product([0, 1], repeat=n - 1):
-        bounds = [0] + [i + 1 for i, m in enumerate(mask) if m] + [n]
-        means = [y[a:b].mean() for a, b in zip(bounds, bounds[1:])]
-        if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
-            continue
-        fit = np.concatenate([np.full(b - a, m)
-                              for (a, b), m in zip(zip(bounds, bounds[1:]), means)])
-        sse = float(np.sum((fit - y) ** 2))
-        if sse < best_sse - 1e-15:
-            best_sse, best_fit = sse, fit
-    return best_fit
 
 
 def test_isotonic_no_violators_is_identity_on_points():

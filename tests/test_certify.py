@@ -1,9 +1,11 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import cutoffcal
 from cutoffcal import (CertificationVerdict, SeededRng, ValidationError,
                        certify, min_admissible_c)
 from cutoffcal.calibrate import CalibratorMap
@@ -234,3 +236,12 @@ def test_min_admissible_c_at_tiny_delta():
     ln_inverse = 300 * math.log(10) - math.log(5e-324 * 1e300)
     assert min_admissible_c(100, 5e-324) == pytest.approx(
         math.sqrt(ln_inverse / 100), rel=1e-12)
+
+
+def test_certify_is_a_function_of_calibrate_not_a_module():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("cutoffcal.certify")
+    import cutoffcal.calibrate as m
+    assert cutoffcal.certify is m.certify
+    assert m.CertificationVerdict is CertificationVerdict
+    assert m.min_admissible_c is min_admissible_c

@@ -168,8 +168,15 @@ def test_decide_gaps_nonnegative_on_small_oracle_csv(tmp_path):
     assert obj["monotone_risk"] <= obj["risk"]
 
 
-def test_decide_requires_oracle_column(empirical_csv, capsys):
-    assert main(["decide", str(empirical_csv), "--tau", "0.35"]) == 2
+@pytest.mark.parametrize("args", [
+    pytest.param(["decide", "{csv}", "--tau", "0.35"], id="decide"),
+    pytest.param(["audit", "{csv}", "--oracle"], id="audit --oracle"),
+])
+def test_decide_requires_oracle_column(args, empirical_csv, capsys):
+    assert main([a.format(csv=empirical_csv) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle_mean" in captured.err
 
 
 @pytest.mark.parametrize("args", [

@@ -33,14 +33,9 @@ def test_load_out_of_range_reports_line():
 
 
 def test_load_oracle_mode():
-    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n",
-                        mode="oracle")
+    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n")
     assert [c.tolist() for c in cols] == [[0.3], [0.0], [0.25]]
-
-
-def test_oracle_mode_missing_column():
-    with pytest.raises(ValidationError, match="oracle_mean column absent"):
-        load_columns(b"forecast,outcome\n0.3,0\n", mode="oracle")
+    assert load_columns(b"forecast,outcome\n0.3,0\n").oracle_means is None
 
 
 def test_load_malformed_row():
@@ -58,7 +53,7 @@ def test_round_trip():
     table = rng.random((50, 3))
     text = "forecast,outcome,oracle_mean\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
-    again = load_columns(text, mode="oracle")
+    again = load_columns(text)
     assert np.column_stack(again).tobytes() == table.tobytes()
 
 
@@ -75,8 +70,7 @@ def test_group_zero_residual():
 
 
 def test_group_oracle_residual():
-    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n",
-                        mode="oracle")
+    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n")
     data = grouped_from_arrays(cols.forecasts, cols.oracle_means)
     f, r, c, v = groups(data)[0]
     assert (f, c, v) == (0.3, 1.0, 0.25)
@@ -223,7 +217,7 @@ def test_pooling_large_ties_permutation_invariant():
 def line_parser(text):
     """The line-by-line reference the vectorised loader falls back to."""
     lines = text.splitlines()
-    width = 3 if core._parse_header(lines[0], "empirical") else 2
+    width = 3 if core._parse_header(lines[0]) else 2
     return core._parse_lines(lines[1:], width)
 
 
@@ -383,7 +377,7 @@ def test_pooled_sums_large_groups_match_exact_fractions():
 def test_package_exports_each_modules_all():
     modules = [importlib.import_module(f"cutoffcal.{name}")
                for name in ("core", "metrics", "calibrate", "decision",
-                            "certify", "experiments")]
+                            "experiments")]
     public = {name for name, value in vars(cutoffcal).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set().union(*(m.__all__ for m in modules))

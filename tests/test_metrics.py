@@ -16,16 +16,7 @@ from cutoffcal import (GroupedDataset, ValidationError, binned_ece, bv_wce,
                        effective_support_size, grouped_from_arrays,
                        lipschitz_wce, make_staircase, oracle_ece)
 from cutoffcal.metrics import _prefix_sums, concentration_radius
-
-
-def brute_force_cutoff(data):
-    """O(m^2) enumeration over all contiguous group ranges plus the empty one."""
-    prefix = _prefix_sums(data.residual_sums)
-    best = 0.0
-    for i in range(len(prefix)):
-        for j in range(i + 1, len(prefix)):
-            best = max(best, abs(float(prefix[j] - prefix[i])))
-    return best / data.n
+from oracles import brute_force_cutoff, grid_search_wce
 
 
 def random_grouped(rng, max_groups=200, ties=True):
@@ -271,22 +262,6 @@ def test_lipschitz_wce_single_group():
     lw = lipschitz_wce(data)
     assert lw.objective == pytest.approx(abs(float(data.residual_sums[0])) / 2)
     assert lw.weights[0] == pytest.approx(np.sign(data.residual_sums[0]) or 1.0)
-
-
-def grid_search_wce(data, points=41):
-    """Exact maximum over a uniform 41-point grid per weight, respecting the
-    adjacent Lipschitz constraints. The chain structure lets the exhaustive
-    maximum be computed by dynamic programming over grid states; the result
-    is identical to enumerating all points^m feasible combinations."""
-    grid = np.linspace(-1.0, 1.0, points)
-    r = data.residual_sums / data.n
-    dt = np.diff(data.forecasts)
-    value = grid * r[0]
-    for j in range(1, len(r)):
-        feasible = np.abs(grid[None, :] - grid[:, None]) <= dt[j - 1] + 1e-12
-        carried = np.where(feasible, value[:, None], -np.inf).max(axis=0)
-        value = carried + grid * r[j]
-    return float(value.max())
 
 
 def test_lipschitz_wce_matches_grid():
