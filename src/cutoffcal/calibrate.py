@@ -1,7 +1,7 @@
 """Post-hoc calibrators: isotonic regression, logistic rescaling, and a
 guarded logistic variant that falls back to a constant predictor when the
 recalibrated training data still shows a large interval-supremum error.
-Each fitter takes a Columns of per-row forecasts and outcomes.
+Each fitter takes per-row forecasts and outcomes.
 
 Two-stage split-and-test certification with a distribution-free guarantee:
 train an arbitrary model on the first half of the data, estimate its
@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Columns, SeededRng, ValidationError, _check_rows,
-                   _check_unit, _check_weights, grouped_from_arrays)
+from .core import (SeededRng, ValidationError, _check_rows, _check_unit,
+                   _check_weights, grouped_from_arrays)
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -114,7 +114,7 @@ def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.repeat(means, sizes)
 
 
-def fit_isotonic(cols: Columns) -> CalibratorMap:
+def fit_isotonic(forecasts, outcomes) -> CalibratorMap:
     """Least-squares monotone fit of outcomes on forecasts.
 
     Ties are pooled into weighted points, so the fitted map is a function
@@ -122,7 +122,7 @@ def fit_isotonic(cols: Columns) -> CalibratorMap:
     Prediction uses a right-continuous step between breakpoints with
     constant extension beyond the data range.
     """
-    data = grouped_from_arrays(cols.forecasts, cols.outcomes)
+    data = grouped_from_arrays(forecasts, outcomes)
     fitted = _pava(data.target_sums / data.counts, data.counts)
     return CalibratorMap("isotonic",
                          breakpoints=np.column_stack((data.forecasts, fitted)))
@@ -146,7 +146,9 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
     rounding floor of its own sums over m groups, eps ceil(log2(m + 1))
     sum_g (counts_g + target_sums_g); p_g is known to an absolute eps, so
     counts_g, not counts_g p_g, bounds the error of counts_g p_g. Raises
-    PlattDivergence after _MAX_ITER steps. Sums are pairwise np.sum.
+    PlattDivergence, naming the last |grad|, the floor and the steps
+    taken, after _MAX_ITER steps or a step that 50 halvings cannot make
+    descend. Sums are pairwise np.sum.
 
     Raises PlattDivergence at once when no finite minimiser exists. Call a
     group lo if target_sums_g < counts_g and hi if target_sums_g > 0 (a
@@ -171,6 +173,7 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
                             + (counts - target_sums) * np.logaddexp(0.0, z))), z
 
     cur, z = loss(theta)
+    steps = 0
     for _ in range(_MAX_ITER):
         p = _sigmoid(z)
         e = counts * p - target_sums
@@ -190,8 +193,10 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
         else:
             break
         theta, cur, z = cand, new, z_new
+        steps += 1
     raise PlattDivergence(
-        f"logistic fit did not converge; |grad|={np.linalg.norm(grad):.3e}")
+        f"logistic fit did not converge in {steps} Newton steps: last "
+        f"|grad|={np.linalg.norm(grad):.3e} above the stop floor {floor:.3e}")
 
 
 def smoothed_targets(target_sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -207,10 +212,10 @@ def smoothed_targets(target_sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + (counts - target_sums) / (f + 2.0))
 
 
-def fit_platt(cols: Columns) -> CalibratorMap:
+def fit_platt(forecasts, outcomes) -> CalibratorMap:
     """Logistic rescaling of forecasts with smoothed outcome targets, fitted
     on rows pooled by forecast, so row order does not change the map."""
-    t, y = _check_rows(cols.forecasts, outcomes=cols.outcomes)
+    t, y = _check_rows(forecasts, outcomes=outcomes)
     data = grouped_from_arrays(t, y)
     theta = _logistic_fit(data.forecasts,
                           smoothed_targets(data.target_sums, data.counts),
@@ -234,7 +239,7 @@ def default_epsilon(n: int) -> float:
     return concentration_radius(n, 0.05)
 
 
-def fit_modified_platt(cols: Columns,
+def fit_modified_platt(forecasts, outcomes,
                        epsilon_n: Optional[float] = None) -> CalibratorMap:
     """Logistic rescaling guarded by an interval-supremum check.
 
@@ -244,12 +249,12 @@ def fit_modified_platt(cols: Columns,
     constant map at the sample mean of the outcomes (whose in-sample scan
     error is zero).
     """
-    t, y = _check_rows(cols.forecasts, outcomes=cols.outcomes)
+    t, y = _check_rows(forecasts, outcomes=outcomes)
     if epsilon_n is None:
         epsilon_n = default_epsilon(len(t))
     if not epsilon_n > 0:
         raise ValidationError("epsilon_n must be positive")
-    platt = fit_platt(cols)
+    platt = fit_platt(t, y)
     z = apply_map(platt, t)
     est = cutoff_error(grouped_from_arrays(z, y))
     if est.value <= epsilon_n:

@@ -88,13 +88,13 @@ def cmd_calibrate(args) -> str:
     if args.epsilon is not None and args.method != "modified-platt":
         raise ValidationError("--epsilon applies only to --method "
                               "modified-platt")
-    cols = _read_columns(args.input)
+    t, y, _ = _read_columns(args.input)
     if args.method == "isotonic":
-        cmap = cal.fit_isotonic(cols)
+        cmap = cal.fit_isotonic(t, y)
     elif args.method == "platt":
-        cmap = cal.fit_platt(cols)
+        cmap = cal.fit_platt(t, y)
     else:
-        cmap = cal.fit_modified_platt(cols, args.epsilon)
+        cmap = cal.fit_modified_platt(t, y, args.epsilon)
     parts = ['{"calibrator": ', cmap.to_json()]
     if args.test_input:
         t, y, _ = _read_columns(args.test_input)
@@ -121,8 +121,7 @@ def cmd_certify(args) -> str:
 
 def cmd_decide(args) -> str:
     t, y, mu = _read_columns(args.input, oracle=True)
-    ev = dec.DecisionEvalSet(t, mu, args.tau)
-    risk, bayes, mono = dec.risks(ev)
+    risk, bayes, mono = dec.risks(t, mu, args.tau)
     result = {"risk": risk, "bayes_risk": bayes, "monotone_risk": mono,
               "gap": risk - bayes, "monotone_gap": risk - mono}
     if args.ystar is not None:

@@ -1,10 +1,10 @@
 """Data model and CSV ingestion shared by all metrics and calibrators.
 
-Per-row data lives in numpy columns (`Columns`): forecast, outcome and,
-when the file has the column, the conditional mean, every value in
-[0, 1]. Pooling merges rows, or weighted atoms, with bitwise-equal
-forecasts, since an interval of forecast values either contains all
-copies of a value or none.
+Per-row data is float arrays: forecast, outcome and, when the file has
+the column, the conditional mean, every value in [0, 1]; `load_columns`
+returns them as a `Columns`. Pooling merges rows, or weighted atoms,
+with bitwise-equal forecasts, since an interval of forecast values
+either contains all copies of a value or none.
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ def _check_weights(name: str, values, shape) -> np.ndarray:
     return w
 
 
-def _normalised_weights(weights, shape) -> np.ndarray:
-    """Uniform 1/n weights when weights is None; else the checked weights
-    divided by their sum."""
-    if weights is None:
-        return np.full(shape, 1.0 / shape[0])
-    w = _check_weights("weights", weights, shape)
-    return w / np.sum(w)
-
-
 @dataclass(frozen=True)
 class SeededRng:
     """Deterministic random stream identified by (seed, stream_id).
@@ -139,7 +130,7 @@ class GroupedDataset:
         """Pool (forecast, conditional_mean, mass) triples by forecast, with
         total mass as n and residuals mean - forecast. atoms must form a
         (k, 3) array; forecasts and means must be in [0, 1]; masses are
-        checked like DecisionEvalSet weights.
+        checked like the weights of `risks`.
         """
         try:
             table = np.array(atoms, dtype=float)

@@ -9,46 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .core import (ValidationError, _check_rows, _check_unit, _check_weights,
-                   _normalised_weights)
+from .core import ValidationError, _check_rows, _check_unit, _check_weights
 from .metrics import _prefix_sums
 
 __all__ = [
-    "DecisionEvalSet",
     "DiscreteMixture",
     "loss_bd",
     "risks",
     "risk_st",
     "schervish_loss",
 ]
-
-
-@dataclass(frozen=True)
-class DecisionEvalSet:
-    """Forecast / conditional-mean pairs with a decision threshold tau.
-
-    weights defaults to uniform; fractional weights let analytic atom
-    constructions be evaluated exactly. Raises ValidationError unless tau,
-    the forecasts and the means are finite values in [0, 1], the set is
-    non-empty, and the weights are finite, non-negative and not all zero.
-    """
-
-    forecasts: np.ndarray
-    means: np.ndarray
-    tau: float
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        _check_unit(f"tau ({self.tau!r})", self.tau)
-        t, mu = _check_rows(self.forecasts, means=self.means)
-        object.__setattr__(self, "forecasts", t)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "weights",
-                           _normalised_weights(self.weights, t.shape))
 
 
 @dataclass(frozen=True)
@@ -70,6 +44,15 @@ class DiscreteMixture:
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
 
 
+def _normalised_weights(weights, shape) -> np.ndarray:
+    """Uniform 1/n weights when weights is None; else the checked weights
+    divided by their sum."""
+    if weights is None:
+        return np.full(shape, 1.0 / shape[0])
+    w = _check_weights("weights", weights, shape)
+    return w / np.sum(w)
+
+
 def loss_bd(y, yhat, tau: float):
     """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
     miss. y and yhat are scalars or arrays; ValidationError unless y and
@@ -81,8 +64,15 @@ def loss_bd(y, yhat, tau: float):
     return tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
 
 
-def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
+def risks(forecasts, means, tau: float,
+          weights=None) -> Tuple[float, float, float]:
     """(plug-in, Bayes, best monotone) risks, the one risk pricer.
+
+    weights defaults to uniform; fractional weights let analytic atom
+    constructions be evaluated exactly. ValidationError unless tau, the
+    forecasts and the means are finite values in [0, 1], the rows are
+    non-empty 1-D arrays of equal length, and the weights are finite,
+    non-negative, one per row and not all zero.
 
     Acting costs tau (1 - mean) and passing (1 - tau) mean, exactly
     mean - tau more. Plug-in acts on 1{t >= tau}; Bayes (the best wrapper
@@ -99,7 +89,9 @@ def risks(ev: DecisionEvalSet) -> Tuple[float, float, float]:
     dropped when min t = 0. The exact minimum lies between Bayes and
     plug-in and is clamped there.
     """
-    t, mu, w, tau = ev.forecasts, ev.means, ev.weights, ev.tau
+    _check_unit(f"tau ({tau!r})", tau)
+    t, mu = _check_rows(forecasts, means=means)
+    w = _normalised_weights(weights, t.shape)
     act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
     plug_in = float(np.sum(w * np.where(t >= tau, act, skip)))
     bayes = float(np.sum(w * np.minimum(act, skip)))

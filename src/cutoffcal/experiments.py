@@ -17,7 +17,7 @@ import numpy as np
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
 from .core import (GroupedDataset, SeededRng, ValidationError, _check_int,
                    _check_unit, grouped_from_arrays)
-from .decision import DecisionEvalSet, risks
+from .decision import risks
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
 
 __all__ = [
@@ -96,7 +96,7 @@ def _one_run(config: SimulationConfig,
     ece = oracle_ece(data)
     wce = lipschitz_wce(data).objective
 
-    risk, bayes, mono = risks(DecisionEvalSet(f, mu, config.tau))
+    risk, bayes, mono = risks(f, mu, config.tau)
     return SimulationRunRecord(alpha, cutoff, ece, wce, risk, bayes, mono,
                                risk - bayes, risk - mono, run_index, refits)
 

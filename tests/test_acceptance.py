@@ -8,12 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from cutoffcal import (Columns, DecisionEvalSet, GroupedDataset, SeededRng,
-                       bv_wce, certify, cutoff_error, fit_isotonic,
-                       grouped_from_arrays, lipschitz_wce,
-                       make_perturbed_constant, make_separation_example,
-                       make_staircase, oracle_ece, platt_counterexample,
-                       risks, run_simulation, SimulationConfig, apply_map)
+from cutoffcal import (GroupedDataset, SeededRng, bv_wce, certify,
+                       cutoff_error, fit_isotonic, grouped_from_arrays,
+                       lipschitz_wce, make_perturbed_constant,
+                       make_separation_example, make_staircase, oracle_ece,
+                       platt_counterexample, risks, run_simulation,
+                       SimulationConfig, apply_map)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _certified_wce
 from cutoffcal.metrics import concentration_radius
@@ -135,10 +135,9 @@ def test_criterion_06_simulation_inequalities():
 
     # exact perturbed-constant risk gap at tau = 0.75
     atoms = make_perturbed_constant(0.01)
-    ev = DecisionEvalSet(np.array([a[0] for a in atoms]),
-                         np.array([a[1] for a in atoms]), 0.75,
-                         weights=np.array([a[2] for a in atoms]))
-    risk, bayes, _ = risks(ev)
+    risk, bayes, _ = risks(np.array([a[0] for a in atoms]),
+                           np.array([a[1] for a in atoms]), 0.75,
+                           weights=np.array([a[2] for a in atoms]))
     gap = risk - bayes
     ok &= gap == 0.375
     ok &= elapsed < 180
@@ -210,7 +209,7 @@ def test_criterion_08_isotonic_holdout():
         t = gen.random(2 * n)
         mu = 0.2 + 0.6 * t ** 2
         y = (gen.random(2 * n) < mu).astype(float)
-        cal = fit_isotonic(Columns(t[:n], y[:n]))
+        cal = fit_isotonic(t[:n], y[:n])
         z = apply_map(cal, t[n:])
         est = cutoff_error(grouped_from_arrays(z, y[n:])).value
         hits += est <= bound
@@ -230,7 +229,7 @@ def test_criterion_09_isotonic_oracle():
     for _ in range(200):
         n = int(gen.integers(1, 9))
         t, y = gen.random(n), gen.random(n)
-        cal = fit_isotonic(Columns(t, y))
+        cal = fit_isotonic(t, y)
         fitted = apply_map(cal, np.sort(t))
         worst = max(worst,
                     float(np.max(np.abs(fitted - exhaustive_monotone_lsq(t, y)))))
@@ -241,7 +240,7 @@ def test_criterion_09_isotonic_oracle():
         n = int(gen.integers(2, 40))
         t = np.round(gen.random(n), 1)
         y = gen.random(n)
-        cal = fit_isotonic(Columns(t, y))
+        cal = fit_isotonic(t, y)
         fitted = apply_map(cal, t)
         for v in np.unique(fitted):
             sel = fitted == v

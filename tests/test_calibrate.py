@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from cutoffcal import (CalibratorMap, Columns, ValidationError, apply_map,
+from cutoffcal import (CalibratorMap, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
 from cutoffcal.calibrate import (PlattDivergence, _logistic_fit, _pava,
@@ -15,26 +15,22 @@ from cutoffcal.calibrate import (PlattDivergence, _logistic_fit, _pava,
 from oracles import exhaustive_monotone_lsq
 
 
-def make_columns(t, y):
-    return Columns(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
-
-
 def test_isotonic_no_violators_is_identity_on_points():
     t = [0.1, 0.4, 0.8]
     y = [0.0, 0.5, 1.0]
-    cal = fit_isotonic(make_columns(t, y))
+    cal = fit_isotonic(t, y)
     assert np.allclose(apply_map(cal, t), y)
 
 
 def test_isotonic_pools_violators():
-    cal = fit_isotonic(make_columns([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]))
+    cal = fit_isotonic([0.1, 0.2, 0.3], [1.0, 0.0, 0.0])
     fitted = apply_map(cal, [0.1, 0.2, 0.3])
     oracle = exhaustive_monotone_lsq([0.1, 0.2, 0.3], [1.0, 0.0, 0.0])
     assert np.allclose(fitted, oracle, atol=1e-9)
 
 
 def test_isotonic_constant_outcomes():
-    cal = fit_isotonic(make_columns([0.2, 0.5, 0.9], [0.4, 0.4, 0.4]))
+    cal = fit_isotonic([0.2, 0.5, 0.9], [0.4, 0.4, 0.4])
     assert np.allclose(apply_map(cal, [0.0, 0.3, 1.0]), 0.4)
 
 
@@ -44,7 +40,7 @@ def test_isotonic_matches_exhaustive_oracle():
         n = int(rng.integers(1, 9))
         t = rng.random(n)
         y = rng.random(n)
-        cal = fit_isotonic(make_columns(t, y))
+        cal = fit_isotonic(t, y)
         fitted = apply_map(cal, np.sort(t))
         assert np.allclose(fitted, exhaustive_monotone_lsq(t, y), atol=1e-9)
 
@@ -56,7 +52,7 @@ def test_isotonic_block_identity():
         n = int(rng.integers(2, 40))
         t = np.round(rng.random(n), 1)  # force ties
         y = rng.random(n)
-        cal = fit_isotonic(make_columns(t, y))
+        cal = fit_isotonic(t, y)
         fitted = apply_map(cal, t)
         for v in np.unique(fitted):
             sel = fitted == v
@@ -67,7 +63,7 @@ def test_isotonic_block_identity():
 def test_isotonic_monotone_and_bounded():
     rng = np.random.default_rng(17)
     t, y = rng.random(100), rng.random(100)
-    cal = fit_isotonic(make_columns(t, y))
+    cal = fit_isotonic(t, y)
     z = np.linspace(0, 1, 333)
     out = apply_map(cal, z)
     assert np.all(np.diff(out) >= -1e-15)
@@ -75,7 +71,7 @@ def test_isotonic_monotone_and_bounded():
 
 
 def test_isotonic_step_convention():
-    cal = fit_isotonic(make_columns([0.2, 0.8], [0.1, 0.9]))
+    cal = fit_isotonic([0.2, 0.8], [0.1, 0.9])
     # right-continuous step: between breakpoints the left block value holds
     assert apply_map(cal, 0.5) == pytest.approx(0.1)
     assert apply_map(cal, 0.8) == pytest.approx(0.9)
@@ -85,7 +81,7 @@ def test_isotonic_step_convention():
 
 def test_isotonic_empty_raises():
     with pytest.raises(ValidationError):
-        fit_isotonic(make_columns([], []))
+        fit_isotonic([], [])
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -118,7 +114,7 @@ def test_platt_flat_data_recovers_adjusted_mean():
     t = np.concatenate([rng.random(200), 1 - rng.random(200)[::-1]])
     t = np.concatenate([t, 1 - t])
     y = np.concatenate([y, y])
-    cal = fit_platt(make_columns(t, y))
+    cal = fit_platt(t, y)
     a, b = cal.coefficients
     target = smoothed_targets(y, np.ones_like(y))
     target_mean = float(np.mean(target))
@@ -139,7 +135,7 @@ def test_platt_constant_forecast_takes_lstsq_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     y = (np.random.default_rng(5).random(100_000) < 0.3).astype(float)
-    a, b = fit_platt(make_columns(np.full(y.size, 0.3), y)).coefficients
+    a, b = fit_platt(np.full(y.size, 0.3), y).coefficients
     assert calls
     target = smoothed_targets(y, np.ones_like(y))
     assert abs(_sigmoid(a * 0.3 + b) - float(np.mean(target))) <= 1e-12
@@ -151,7 +147,7 @@ def test_platt_constant_forecast_without_positives_converges(n):
     # stop floor of eps (n p + target sum) is out of reach here; the floor
     # scales with the count n instead
     y = np.zeros(n)
-    a, b = fit_platt(make_columns(np.full(n, 0.4), y)).coefficients
+    a, b = fit_platt(np.full(n, 0.4), y).coefficients
     assert _sigmoid(a * 0.4 + b) == pytest.approx(1 / (n + 2), rel=1e-12)
 
 
@@ -160,9 +156,9 @@ def test_platt_pools_ties_so_row_order_is_free(seed):
     rng = np.random.default_rng(seed)
     t = rng.integers(0, 101, 5000) / 100
     y = (rng.random(t.size) < t).astype(float)
-    a, b = fit_platt(make_columns(t, y)).coefficients
+    a, b = fit_platt(t, y).coefficients
     perm = rng.permutation(t.size)
-    assert fit_platt(make_columns(t[perm], y[perm])).coefficients == (a, b)
+    assert fit_platt(t[perm], y[perm]).coefficients == (a, b)
     # the pooled fit solves the row-level score equations to the stop floor
     p = _sigmoid(a * t + b)
     target = smoothed_targets(y, np.ones_like(y))
@@ -180,13 +176,13 @@ def test_platt_converges_on_millions_of_rows():
     rng = np.random.default_rng(1)
     t = rng.random(n)
     y = rng.random(n) < t
-    a, b = fit_platt(make_columns(t, y)).coefficients
+    a, b = fit_platt(t, y).coefficients
     assert a == pytest.approx(5.2, abs=0.05)
     assert b == pytest.approx(-2.6, abs=0.05)
 
 
 def test_platt_separable_stays_finite():
-    cal = fit_platt(make_columns([0.2, 0.8], [0.0, 1.0]))
+    cal = fit_platt([0.2, 0.8], [0.0, 1.0])
     a, b = cal.coefficients
     assert np.isfinite(a) and np.isfinite(b)
     # smoothed targets are exactly {1/3, 2/3} here
@@ -270,7 +266,9 @@ def test_logistic_fit_halves_steps_that_raise_the_loss(monkeypatch):
 def test_logistic_fit_raises_after_max_iter(monkeypatch):
     monkeypatch.setattr("cutoffcal.calibrate._MAX_ITER", 1)
     t = np.array([0.2, 0.4, 0.6, 0.8])
-    with pytest.raises(PlattDivergence, match="did not converge"):
+    with pytest.raises(PlattDivergence,
+                       match=r"did not converge in 1 Newton steps: last "
+                             r"\|grad\|=\S+ above the stop floor \S+"):
         _logistic_fit(t, np.array([0.0, 1.0, 0.0, 1.0]), np.ones_like(t))
 
 
@@ -346,7 +344,7 @@ def test_modified_platt_keeps_good_fit():
     t = rng.random(n)
     p = _sigmoid(2.5 * t - 1.0)
     y = (rng.random(n) < p).astype(float)
-    cal = fit_modified_platt(make_columns(t, y))
+    cal = fit_modified_platt(t, y)
     assert cal.kind == "platt"
 
 
@@ -359,7 +357,7 @@ def test_modified_platt_falls_back_on_counterexample():
     t = np.array([atoms[i][0] for i in idx])
     q = np.array([atoms[i][1] for i in idx])
     y = (rng.random(n) < q).astype(float)
-    cal = fit_modified_platt(make_columns(t, y))
+    cal = fit_modified_platt(t, y)
     assert cal.kind == "constant"
     assert cal.constant_value == pytest.approx(float(np.mean(y)))
 
@@ -369,15 +367,14 @@ def test_modified_platt_constant_outcomes():
     # error exactly zero; the logistic branch lands at the smoothed target
     # mean instead, so the returned map is only guaranteed to clear the
     # epsilon_n gate, not to be exactly zero.
-    samples = make_columns(np.linspace(0.1, 0.9, 50), [0.6] * 50)
-    t = samples.forecasts
+    t = np.linspace(0.1, 0.9, 50)
     y = np.full(50, 0.6)
 
     const = CalibratorMap("constant", constant_value=float(np.mean(y)))
     data = grouped_from_arrays(apply_map(const, t), y)
     assert cutoff_error(data).value == pytest.approx(0.0, abs=1e-12)
 
-    cal = fit_modified_platt(samples)
+    cal = fit_modified_platt(t, y)
     returned = grouped_from_arrays(apply_map(cal, t), y)
     assert cutoff_error(returned).value <= default_epsilon(50)
 
@@ -390,7 +387,7 @@ def test_default_epsilon_value():
 def test_isotonic_breakpoints_array_and_dict():
     rng = np.random.default_rng(23)
     t, y = np.round(rng.random(200), 2), rng.random(200)
-    cal = fit_isotonic(make_columns(t, y))
+    cal = fit_isotonic(t, y)
     data = grouped_from_arrays(t, y)
     assert cal.breakpoints.shape == (len(data), 2)
     assert cal.breakpoints.dtype == np.float64
@@ -424,7 +421,7 @@ def test_platt_rejects_out_of_range(where, bad):
     cols = {"forecasts": [0.2, 0.5, 0.9], "outcomes": [0.0, 1.0, 1.0]}
     cols[where][1] = bad
     with pytest.raises(ValidationError, match=where):
-        fit_platt(make_columns(cols["forecasts"], cols["outcomes"]))
+        fit_platt(cols["forecasts"], cols["outcomes"])
 
 
 @pytest.mark.parametrize("fit", [fit_platt, fit_modified_platt])
@@ -435,7 +432,7 @@ def test_platt_rejects_out_of_range(where, bad):
 ], ids=["length mismatch", "empty", "2-D"])
 def test_platt_rejects_malformed_columns(fit, t, y, match):
     with pytest.raises(ValidationError, match=match):
-        fit(make_columns(t, y))
+        fit(t, y)
 
 
 @pytest.mark.parametrize("t, q, w, match", [

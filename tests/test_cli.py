@@ -121,12 +121,15 @@ def test_calibrate_each_method(empirical_csv, tmp_path, schema):
 
 
 def test_certify_accept_and_schema(tmp_path, schema):
+    # delta may be 1, the top of (0, 1], in the program and the schema
     p = tmp_path / "cal.csv"
     write_csv(p, [(0.5, i % 2) for i in range(2000)])
-    code, obj = run_json(["certify", str(p), "--c", "0.8"], tmp_path)
-    assert code == 0
-    validate(obj, schema)
-    assert obj["accepted"] is True
+    for extra in ([], ["--delta", "1"]):
+        code, obj = run_json(["certify", str(p), "--c", "0.8", *extra],
+                             tmp_path)
+        assert code == 0
+        validate(obj, schema)
+        assert obj["accepted"] is True
 
 
 def test_certify_bad_c_exit_2(tmp_path, capsys):
@@ -203,7 +206,7 @@ def test_decide_empty_input_exit_2(tmp_path, capsys):
 
 def test_nan_never_reaches_output(oracle_csv, monkeypatch, capsys):
     monkeypatch.setattr("cutoffcal.decision.risks",
-                        lambda ev: (float("nan"), 0.0, 0.0))
+                        lambda t, mu, tau: (float("nan"), 0.0, 0.0))
     assert main(["decide", str(oracle_csv), "--tau", "0.35"]) == 3
     captured = capsys.readouterr()
     assert "NaN" not in captured.out
@@ -259,7 +262,8 @@ def test_isotonic_stdout_is_one_line_with_exact_breakpoints(empirical_csv,
     assert out.endswith(b"\n") and out.count(b"\n") == 1
     got = np.array(json.loads(out)["calibrator"]["breakpoints"])
     with open(empirical_csv, "rb") as fh:
-        want = fit_isotonic(load_columns(fh)).breakpoints
+        t, y, _ = load_columns(fh)
+    want = fit_isotonic(t, y).breakpoints
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -291,7 +295,8 @@ def test_isotonic_report_is_json_dumps_of_the_map(grid, tmp_path,
                  "--test-input", str(paths[1])]) == 0
     out = capsysbinary.readouterr().out
     with open(paths[0], "rb") as fh:
-        cmap = fit_isotonic(load_columns(fh))
+        t, y, _ = load_columns(fh)
+    cmap = fit_isotonic(t, y)
     with open(paths[1], "rb") as fh:
         t, y, _ = load_columns(fh)
     evaluation = {

@@ -381,3 +381,38 @@ def test_package_exports_each_modules_all():
     public = {name for name, value in vars(cutoffcal).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set().union(*(m.__all__ for m in modules))
+
+
+def _bits(result):
+    """result as a value that changes when any float in it changes a bit."""
+    if isinstance(result, GroupedDataset):
+        return [a.tobytes() for a in (result.forecasts, result.residual_sums,
+                                      result.counts, result.target_sums)
+                ] + [repr(result.n)]
+    return repr(result.to_dict() if hasattr(result, "to_dict") else result)
+
+
+# every public function that takes per-row data: rows come as the columns
+# (forecasts, targets[, weights]), plain sequences or float arrays alike
+PER_ROW = {
+    "grouped_from_arrays": (grouped_from_arrays, 2),
+    "fit_isotonic": (cutoffcal.fit_isotonic, 2),
+    "fit_platt": (cutoffcal.fit_platt, 2),
+    "fit_modified_platt": (cutoffcal.fit_modified_platt, 2),
+    "risks": (lambda t, mu, w: cutoffcal.risks(t, mu, 0.5, w), 3),
+    "risk_st": (lambda t, y, w: cutoffcal.risk_st(t, y, 0.4, w), 3),
+    "population_platt": (cutoffcal.calibrate.population_platt, 3),
+    "certify": (lambda t, y: cutoffcal.certify(
+        t, y, lambda x, _: (lambda x: x), 4.0, 0.05), 2),
+}
+
+
+@pytest.mark.parametrize("name", PER_ROW)
+def test_per_row_functions_take_sequences_or_arrays(name):
+    fn, k = PER_ROW[name]
+    rows = [[0.1, 0.3, 0.3, 0.6, 0.8, 0.9], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+            [1.0, 2.0, 0.5, 1.0, 1.0, 3.0]][:k]
+    assert _bits(fn(*rows)) == _bits(fn(*map(np.array, rows)))
+    for i in range(1, k):
+        with pytest.raises(ValidationError):
+            fn(*rows[:i], rows[i][:-1], *rows[i + 1:])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutoffcal
-from cutoffcal import (DecisionEvalSet, GroupedDataset, ValidationError,
+from cutoffcal import (GroupedDataset, ValidationError,
                        DiscreteMixture, cutoff_error, loss_bd,
                        make_perturbed_constant, risk_st, risks,
                        schervish_loss)
@@ -44,10 +44,9 @@ def test_loss_bd_rejects_out_of_range(y, yhat, tau, match):
 def test_risk_bd_direct_sum():
     rng = np.random.default_rng(4)
     t, mu = rng.random(30), rng.random(30)
-    ev = DecisionEvalSet(t, mu, 0.35)
     direct = math.fsum(loss_bd(m, int(f >= 0.35), 0.35)
                        for f, m in zip(t, mu)) / 30
-    assert risks(ev)[0] == pytest.approx(direct, abs=1e-12)
+    assert risks(t, mu, 0.35)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_perturbed_constant_golden_gap():
@@ -57,8 +56,7 @@ def test_perturbed_constant_golden_gap():
     t = np.array([a[0] for a in atoms])
     mu = np.array([a[1] for a in atoms])
     w = np.array([a[2] for a in atoms])
-    ev = DecisionEvalSet(t, mu, 0.75, weights=w)
-    risk, bayes, monotone = risks(ev)
+    risk, bayes, monotone = risks(t, mu, 0.75, weights=w)
     assert risk == pytest.approx(0.375, abs=1e-15)
     assert bayes == pytest.approx(0.0, abs=1e-15)
     gap, monotone_gap = risk - bayes, risk - monotone
@@ -66,31 +64,33 @@ def test_perturbed_constant_golden_gap():
     assert monotone_gap == pytest.approx(0.375, abs=1e-15)
 
 
-def monotone_oracle(ev):
+def monotone_oracle(t, mu, tau, weights=None):
     """Direct enumeration over every candidate threshold and direction."""
-    cands = np.unique(np.concatenate([[0.0, 1.0, ev.tau], ev.forecasts]))
+    t, mu = np.asarray(t, dtype=float), np.asarray(mu, dtype=float)
+    w = np.full(t.shape, 1.0 / t.size) if weights is None else weights
+    w = np.asarray(w, dtype=float) / np.sum(w)
+    cands = np.unique(np.concatenate([[0.0, 1.0, tau], t]))
     best = np.inf
     for tp in cands:
-        for actions in ((ev.forecasts >= tp).astype(float),
-                        (ev.forecasts <= tp).astype(float)):
-            losses = (ev.tau * (1 - ev.means) * actions
-                      + (1 - ev.tau) * ev.means * (1 - actions))
-            best = min(best, float(np.dot(ev.weights, losses)))
+        for actions in ((t >= tp).astype(float), (t <= tp).astype(float)):
+            losses = (tau * (1 - mu) * actions
+                      + (1 - tau) * mu * (1 - actions))
+            best = min(best, float(np.dot(w, losses)))
     return best
 
 
 def test_best_monotone_matches_enumeration():
     # 1{t >= tau'} acts on a forecast of 1 and 1{t <= tau'} on a forecast of
     # 0, so with both present no monotone rule passes on every row (cost 0)
-    ev = DecisionEvalSet([0.0, 1.0], [0.0, 0.0], 0.5)
-    assert risks(ev)[2] == monotone_oracle(ev) == 0.25
+    ev = ([0.0, 1.0], [0.0, 0.0], 0.5)
+    assert risks(*ev)[2] == monotone_oracle(*ev) == 0.25
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(1, 51))
-        ev = DecisionEvalSet(np.round(rng.random(n), 2), rng.random(n),
-                             float(rng.random()), weights=rng.random(n) + 0.1)
-        fast = risks(ev)[2]
-        assert fast == pytest.approx(monotone_oracle(ev), abs=1e-12)
+        ev = (np.round(rng.random(n), 2), rng.random(n), float(rng.random()),
+              rng.random(n) + 0.1)
+        fast = risks(*ev)[2]
+        assert fast == pytest.approx(monotone_oracle(*ev), abs=1e-12)
 
 
 def test_gaps_nonnegative_against_injective_forecasts():
@@ -98,8 +98,8 @@ def test_gaps_nonnegative_against_injective_forecasts():
     for _ in range(30):
         n = int(rng.integers(2, 200))
         t = np.unique(rng.random(n))
-        ev = DecisionEvalSet(t, rng.random(len(t)), float(rng.random()))
-        risk, bayes, monotone = risks(ev)
+        risk, bayes, monotone = risks(t, rng.random(len(t)),
+                                      float(rng.random()))
         gap, monotone_gap = risk - bayes, risk - monotone
         assert gap >= -1e-12
         assert monotone_gap >= -1e-12
@@ -115,10 +115,10 @@ grid = st.integers(0, 100).map(lambda k: k / 100)
 @settings(max_examples=300, deadline=None)
 def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
     t, mu, w = map(np.array, zip(*rows))
-    ev = DecisionEvalSet(t, mu, tau, weights=w)
-    risk, bayes, monotone = risks(ev)
-    actions = (ev.forecasts >= tau).astype(float)
-    assert risk == float(np.sum(ev.weights * loss_bd(ev.means, actions, tau)))
+    risk, bayes, monotone = risks(t, mu, tau, weights=w)
+    w = w / np.sum(w)
+    actions = (t >= tau).astype(float)
+    assert risk == float(np.sum(w * loss_bd(mu, actions, tau)))
     assert bayes <= monotone <= risk
     assert min(risk - bayes, risk - monotone) >= 0.0
 
@@ -128,14 +128,14 @@ def test_risks_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product of 3e5 rows by thread, and each split
     # rounds differently; numpy's pairwise sum has one order per length.
     # The Lipschitz objective and Platt's Newton sums must not follow it
-    code = ("import numpy as np; from cutoffcal import Columns, "
-            "DecisionEvalSet, fit_platt, grouped_from_arrays, lipschitz_wce, "
-            "risk_st, risks; t, mu, u = np.random.default_rng(9).random("
-            "(3, 300_000)); y = 1.0 * (u < mu); "
-            "print(repr(risks(DecisionEvalSet(t, mu, 0.5))), "
+    code = ("import numpy as np; from cutoffcal import fit_platt, "
+            "grouped_from_arrays, lipschitz_wce, risk_st, risks; "
+            "t, mu, u = np.random.default_rng(9).random((3, 300_000)); "
+            "y = 1.0 * (u < mu); "
+            "print(repr(risks(t, mu, 0.5)), "
             "repr(risk_st(t, mu, 0.4)), "
             "repr(lipschitz_wce(grouped_from_arrays(t, mu)).objective), "
-            "repr(fit_platt(Columns(t, y)).coefficients))")
+            "repr(fit_platt(t, y).coefficients))")
     src = str(Path(cutoffcal.__file__).resolve().parents[1])
     outs = [subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                            capture_output=True, text=True,
@@ -160,16 +160,16 @@ def test_actionability_inequalities_on_tied_grids(rows, tau):
     2 cut. Against Bayes the same bound holds row by row.
     """
     t, mu, w = map(np.array, zip(*rows))
-    ev = DecisionEvalSet(t, mu, tau, weights=w)
-    risk, bayes, monotone = risks(ev)
+    risk, bayes, monotone = risks(t, mu, tau, weights=w)
+    w = w / np.sum(w)
     cut = cutoff_error(GroupedDataset.from_atoms(
-        np.column_stack([t, mu, ev.weights]))).value
+        np.column_stack([t, mu, w]))).value
     act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
     for tp in np.concatenate(([0.0, 1.0, tau], t)):
-        rule = float(np.dot(ev.weights, np.where(t >= tp, act, skip)))
+        rule = float(np.dot(w, np.where(t >= tp, act, skip)))
         assert risk - rule <= cut + 1e-12
     assert risk - monotone <= 2 * cut + 1e-12
-    assert risk - bayes <= float(np.dot(ev.weights, np.abs(mu - t))) + 1e-12
+    assert risk - bayes <= float(np.dot(w, np.abs(mu - t))) + 1e-12
 
 
 def test_risk_st_termwise():
@@ -264,7 +264,7 @@ def test_mixture_rejects_impossible_atoms(atoms, match):
 def test_eval_set_rejects_invalid_input(kwargs):
     args = dict(forecasts=[0.2, 0.8], means=[0.3, 0.6], tau=0.5)
     with pytest.raises(ValidationError):
-        DecisionEvalSet(**{**args, **kwargs})
+        risks(**{**args, **kwargs})
 
 
 def test_risk_st_rejects_invalid_input():
