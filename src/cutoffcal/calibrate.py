@@ -48,7 +48,11 @@ class CalibratorMap:
 
     kind "isotonic": right-continuous step over the (input, value) rows of
     breakpoints, constant beyond the data range. kind "platt":
-    sigmoid(a*z + b). kind "constant": a single value.
+    sigmoid(a*z + b). kind "constant": a single value. A map checks itself
+    when built, raising ValidationError unless every entry is finite,
+    every value is in [0, 1], platt has two coefficients and isotonic
+    breakpoints are a non-empty (m, 2) array with strictly increasing
+    inputs, which the map keeps as a read-only float copy.
     """
 
     kind: str
@@ -56,33 +60,46 @@ class CalibratorMap:
     coefficients: Optional[tuple] = None    # (a, b) for platt
     constant_value: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
+    def __post_init__(self):
+        field = {"isotonic": self.breakpoints, "platt": self.coefficients,
+                 "constant": self.constant_value}
+        if self.kind not in field:
+            raise ValidationError(f"unknown map kind: {self.kind!r}")
+        values = np.array(field[self.kind], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{self.kind} map has a non-finite entry")
         if self.kind == "isotonic":
-            d["breakpoints"] = np.asarray(self.breakpoints,
-                                          dtype=float).tolist()
-        elif self.kind == "platt":
-            d["coefficients"] = {"a": self.coefficients[0],
-                                 "b": self.coefficients[1]}
-        else:
-            d["constant_value"] = self.constant_value
-        return d
+            if (values.ndim != 2 or values.shape[1] != 2 or len(values) == 0
+                    or np.any(np.diff(values[:, 0]) <= 0)):
+                raise ValidationError("isotonic breakpoints must be a "
+                                      "non-empty (m, 2) array whose inputs "
+                                      "strictly increase")
+            values.flags.writeable = False
+            object.__setattr__(self, "breakpoints", values)
+            values = values[:, 1]
+        elif values.shape != ((2,) if self.kind == "platt" else ()):
+            raise ValidationError("a platt map has two coefficients (a, b), "
+                                  "a constant map one value")
+        if self.kind != "platt":
+            _check_unit(f"{self.kind} map values", values)
+
+    def to_dict(self) -> dict:
+        if self.kind == "isotonic":
+            return {"kind": "isotonic", "breakpoints": self.breakpoints.tolist()}
+        if self.kind == "platt":
+            a, b = self.coefficients
+            return {"kind": "platt", "coefficients": {"a": a, "b": b}}
+        return {"kind": "constant", "constant_value": self.constant_value}
 
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), allow_nan=False), the same bytes.
-
-        A non-empty isotonic map is written from its breakpoints as floats,
-        as to_dict reads them: each input and each run of bit-identical
-        values (-0.0 apart from 0.0) is formatted once with float.__repr__,
-        as the encoder does, and a run is one join of its input reprs.
-        ValueError on a non-finite entry, as allow_nan.
-        """
-        if self.kind != "isotonic" or np.size(self.breakpoints) == 0:
+        """json.dumps(self.to_dict(), allow_nan=False), the same bytes. An
+        isotonic map is written from its breakpoints: each input and each
+        run of bit-identical values (-0.0 apart from 0.0) is formatted once
+        with float.__repr__, as the encoder does; a run is one join."""
+        if self.kind != "isotonic":
             return json.dumps(self.to_dict(), allow_nan=False)
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if not np.all(np.isfinite(bp)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        bits = np.ascontiguousarray(bp).view(np.int64)[:, 1]
+        bp = self.breakpoints
+        bits = bp.view(np.int64)[:, 1]
         cut = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
         starts, ends = [0] + cut, cut + [len(bp)]
         inputs = list(map(float.__repr__, bp[:, 0].tolist()))
@@ -122,7 +139,8 @@ def fit_isotonic(forecasts, outcomes) -> CalibratorMap:
     Prediction uses a right-continuous step between breakpoints with
     constant extension beyond the data range.
     """
-    data = grouped_from_arrays(forecasts, outcomes)
+    t, y = _check_rows(forecasts, outcomes=outcomes)
+    data = grouped_from_arrays(t, y)
     fitted = _pava(data.target_sums / data.counts, data.counts)
     return CalibratorMap("isotonic",
                          breakpoints=np.column_stack((data.forecasts, fitted)))
@@ -354,39 +372,17 @@ def certify(covariates, outcomes,
                                 returned, fallback_mean, n)
 
 
-def _finite(cal: CalibratorMap, values) -> np.ndarray:
-    """values, a field of cal, as a float array; ValidationError unless
-    every entry is finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{cal.kind} map has a non-finite entry")
-    return values
-
-
 def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
-    """Map forecasts in [0, 1] element-wise; outputs stay in [0, 1].
-    ValidationError on a non-finite map entry, or on isotonic breakpoints
-    that are not a non-empty (m, 2) array with strictly increasing inputs."""
+    """Map forecasts in [0, 1] element-wise; outputs lie in [0, 1], as the
+    map was checked when it was built. A scalar forecast gives a float."""
     z = np.asarray(forecasts, dtype=float)
     _check_unit("forecasts", z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if cal.kind == "constant":
-        out = np.full_like(z, _finite(cal, cal.constant_value))
+        out = np.full_like(z, cal.constant_value)
     elif cal.kind == "platt":
-        a, b = _finite(cal, cal.coefficients)
+        a, b = cal.coefficients
         out = _sigmoid(a * z + b)
-    elif cal.kind == "isotonic":
-        bp = _finite(cal, cal.breakpoints)
-        if (bp.ndim != 2 or bp.shape[1] != 2 or len(bp) == 0
-                or np.any(np.diff(bp[:, 0]) <= 0)):
-            raise ValidationError("isotonic breakpoints must be a non-empty "
-                                  "(m, 2) array whose inputs strictly "
-                                  "increase")
-        xs, vs = bp.T
-        idx = np.clip(np.searchsorted(xs, z, side="right") - 1, 0, len(xs) - 1)
-        out = vs[idx]
     else:
-        raise ValidationError(f"unknown map kind: {cal.kind!r}")
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+        xs, vs = cal.breakpoints.T
+        out = vs[np.maximum(np.searchsorted(xs, z, side="right") - 1, 0)]
+    return float(out) if out.ndim == 0 else out

@@ -44,6 +44,13 @@ class DiscreteMixture:
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
 
 
+def _check_prob(name: str, value) -> None:
+    """Raise ValidationError unless value is one number in [0, 1]."""
+    if np.ndim(value) != 0:
+        raise ValidationError(f"{name} must be one number in [0, 1]")
+    _check_unit(name, value)
+
+
 def _normalised_weights(weights, shape) -> np.ndarray:
     """Uniform 1/n weights when weights is None; else the checked weights
     divided by their sum."""
@@ -55,9 +62,9 @@ def _normalised_weights(weights, shape) -> np.ndarray:
 
 def loss_bd(y, yhat, tau: float):
     """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
-    miss. y and yhat are scalars or arrays; ValidationError unless y and
-    tau are in [0, 1] and every yhat is 0 or 1."""
-    _check_unit(f"tau ({tau!r})", tau)
+    miss. y and yhat are scalars or arrays; ValidationError unless tau is
+    one number in [0, 1], every y is in [0, 1] and every yhat is 0 or 1."""
+    _check_prob(f"tau ({tau!r})", tau)
     _check_unit("y", y)
     if not np.all(np.isin(yhat, (0, 1))):
         raise ValidationError("yhat must be 0 or 1")
@@ -69,10 +76,10 @@ def risks(forecasts, means, tau: float,
     """(plug-in, Bayes, best monotone) risks, the one risk pricer.
 
     weights defaults to uniform; fractional weights let analytic atom
-    constructions be evaluated exactly. ValidationError unless tau, the
-    forecasts and the means are finite values in [0, 1], the rows are
-    non-empty 1-D arrays of equal length, and the weights are finite,
-    non-negative, one per row and not all zero.
+    constructions be evaluated exactly. ValidationError unless tau is one
+    number in [0, 1], the forecasts and the means are finite values in
+    [0, 1], the rows are non-empty 1-D arrays of equal length, and the
+    weights are finite, non-negative, one per row and not all zero.
 
     Acting costs tau (1 - mean) and passing (1 - tau) mean, exactly
     mean - tau more. Plug-in acts on 1{t >= tau}; Bayes (the best wrapper
@@ -89,7 +96,7 @@ def risks(forecasts, means, tau: float,
     dropped when min t = 0. The exact minimum lies between Bayes and
     plug-in and is clamped there.
     """
-    _check_unit(f"tau ({tau!r})", tau)
+    _check_prob(f"tau ({tau!r})", tau)
     t, mu = _check_rows(forecasts, means=means)
     w = _normalised_weights(weights, t.shape)
     act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
@@ -109,9 +116,10 @@ def risks(forecasts, means, tau: float,
 
 def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     """Sign-testing risk: penalty |y - ystar| when the forecast sits on the
-    wrong side of ystar. ystar, forecasts and outcomes must be in [0, 1],
-    and forecasts and outcomes non-empty 1-D arrays of equal length."""
-    _check_unit(f"ystar ({ystar!r})", ystar)
+    wrong side of ystar. ystar must be one number in [0, 1], forecasts
+    and outcomes non-empty 1-D arrays of equal length with values in
+    [0, 1]."""
+    _check_prob(f"ystar ({ystar!r})", ystar)
     t, y = _check_rows(forecasts, outcomes=outcomes)
     w = _normalised_weights(weights, t.shape)
     over = (y - ystar) * (t <= ystar) * (y > ystar)
@@ -121,7 +129,8 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
 
 def schervish_loss(mixture: DiscreteMixture, y: float, p: float) -> float:
     """Proper scoring rule assembled as a mixture of threshold losses;
-    ValidationError unless y and p are in [0, 1]."""
-    _check_unit(f"y ({y!r}) and p ({p!r})", [y, p])
+    ValidationError unless y and p are each one number in [0, 1]."""
+    _check_prob(f"y ({y!r})", y)
+    _check_prob(f"p ({p!r})", p)
     return math.fsum(weight * loss_bd(y, int(p >= tau), tau)
                      for tau, weight in mixture.atoms)

@@ -420,11 +420,12 @@ def test_apply_map_rejects_out_of_range(kind, bad):
 def test_platt_rejects_out_of_range(where, bad):
     cols = {"forecasts": [0.2, 0.5, 0.9], "outcomes": [0.0, 1.0, 1.0]}
     cols[where][1] = bad
-    with pytest.raises(ValidationError, match=where):
-        fit_platt(cols["forecasts"], cols["outcomes"])
+    for fit in (fit_platt, fit_isotonic):
+        with pytest.raises(ValidationError, match=where):
+            fit(cols["forecasts"], cols["outcomes"])
 
 
-@pytest.mark.parametrize("fit", [fit_platt, fit_modified_platt])
+@pytest.mark.parametrize("fit", [fit_platt, fit_modified_platt, fit_isotonic])
 @pytest.mark.parametrize("t, y, match", [
     ([0.2, 0.5], [0.0], "outcomes"),
     ([], [], "empty"),
@@ -461,10 +462,9 @@ def reference_json(cal):
 
 
 @pytest.mark.parametrize("cal", list(MAPS.values()) + [
-    CalibratorMap("isotonic", breakpoints=np.empty((0, 2))),
     CalibratorMap("isotonic", breakpoints=np.array([[0, 0], [1, 1]])),
     CalibratorMap("isotonic", breakpoints=[[0.2, 0.1], [0.8, 0.9]]),
-], ids=list(MAPS) + ["isotonic-empty", "isotonic-int", "isotonic-list"])
+], ids=list(MAPS) + ["isotonic-int", "isotonic-list"])
 def test_to_json_is_json_dumps_of_to_dict(cal):
     assert cal.to_json() == reference_json(cal)
 
@@ -474,8 +474,8 @@ def test_to_json_is_json_dumps_of_to_dict(cal):
     [[0.1, 0.3], [0.2, 0.3], [0.9, 0.3]],                # one run
     [[0.1, 0.0], [0.2, 0.1], [0.3, 0.7], [0.4, 1.0]],    # all distinct
     [[0.0, -0.0], [0.1, -0.0], [0.2, 0.0], [0.3, 0.0]],  # -0.0 run, 0.0 run
-    [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.0]],              # and back again
-    [[1e-05, 5e-324], [5e-324, 1e-05], [0.5, 1e-05]],    # exponent reprs
+    [[-0.0, 0.0], [0.1, -0.0], [0.5, 0.0]],              # and back again
+    [[5e-324, 5e-324], [1e-05, 1e-05], [0.5, 1e-05]],    # exponent reprs
     [[0.1, 0.25], [0.2, 0.5], [0.3, 0.5], [0.4, 0.75], [1.0, 0.75]],
 ])
 def test_isotonic_to_json_edge_cases(rows):
@@ -483,15 +483,16 @@ def test_isotonic_to_json_edge_cases(rows):
     assert cal.to_json() == reference_json(cal)
 
 
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60, unique=True),
        st.lists(st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 0.1, 0.5, 1.0])
                 | st.floats(0.0, 1.0), min_size=1, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_isotonic_to_json_matches_json_dumps(xs, vs):
     m = min(len(xs), len(vs))
-    # sorted inputs and values, as fit_isotonic writes them; the stable
-    # sort keeps -0.0 and 0.0 in drawn order, so both meet in one array
-    cal = isotonic_map(np.column_stack((np.sort(xs[:m], kind="stable"),
+    # strictly increasing inputs and sorted values, as fit_isotonic writes
+    # them; the stable sort keeps -0.0 and 0.0 in drawn order, so both
+    # meet in one array
+    cal = isotonic_map(np.column_stack((np.sort(xs[:m]),
                                         np.sort(vs[:m], kind="stable"))))
     assert cal.to_json() == reference_json(cal)
 
@@ -499,26 +500,50 @@ def test_isotonic_to_json_matches_json_dumps(xs, vs):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 1)])
 def test_isotonic_to_json_rejects_non_finite(bad, where):
+    # a map checks itself when built, so to_json never meets such a map
     bp = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.6]])
     bp[where] = bad
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        isotonic_map(bp).to_json()
+    with pytest.raises(ValidationError, match="non-finite"):
+        isotonic_map(bp)
 
 
-@pytest.mark.parametrize("cal, match", [
-    (CalibratorMap("platt", coefficients=(math.nan, 0.0)), "non-finite"),
-    (CalibratorMap("platt", coefficients=(1.0, -math.inf)), "non-finite"),
-    (CalibratorMap("constant", constant_value=math.nan), "non-finite"),
-    (isotonic_map([[0.2, 0.1], [0.8, math.nan]]), "non-finite"),
-    (isotonic_map([[0.8, 0.9], [0.2, 0.1]]), "strictly increase"),
-    (isotonic_map([[0.2, 0.1], [0.2, 0.9]]), "strictly increase"),
-    (CalibratorMap("isotonic", breakpoints=np.empty((0, 2))), "non-empty"),
-    (isotonic_map([0.2, 0.1]), r"\(m, 2\)"),
-    (isotonic_map([[0.2, 0.1, 0.3], [0.5, 0.6, 0.7]]), r"\(m, 2\)"),
-    (CalibratorMap("unknown"), "unknown map kind"),
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(kind="platt", coefficients=(math.nan, 0.0)), "non-finite"),
+    (dict(kind="platt", coefficients=(1.0, -math.inf)), "non-finite"),
+    (dict(kind="constant", constant_value=math.nan), "non-finite"),
+    (dict(kind="isotonic", breakpoints=[[0.2, 0.1], [0.8, math.nan]]),
+     "non-finite"),
+    (dict(kind="isotonic", breakpoints=[[0.8, 0.9], [0.2, 0.1]]),
+     "strictly increase"),
+    (dict(kind="isotonic", breakpoints=[[0.2, 0.1], [0.2, 0.9]]),
+     "strictly increase"),
+    (dict(kind="isotonic", breakpoints=np.empty((0, 2))), "non-empty"),
+    (dict(kind="isotonic", breakpoints=[0.2, 0.1]), r"\(m, 2\)"),
+    (dict(kind="isotonic", breakpoints=[[0.2, 0.1, 0.3], [0.5, 0.6, 0.7]]),
+     r"\(m, 2\)"),
+    (dict(kind="unknown"), "unknown map kind"),
+    (dict(kind="isotonic", breakpoints=[[0.2, 0.1], [0.8, 1.5]]),
+     r"values must be finite and in \[0, 1\]"),
+    (dict(kind="constant", constant_value=-0.1),
+     r"values must be finite and in \[0, 1\]"),
+    (dict(kind="platt", coefficients=(1.0, 0.0, 0.5)), "two coefficients"),
+    (dict(kind="constant", constant_value=[0.2, 0.4]), "one value"),
 ], ids=["platt nan", "platt inf", "constant nan", "isotonic nan",
         "isotonic decreasing", "isotonic repeated", "isotonic empty",
-        "isotonic 1-D", "isotonic 3 columns", "unknown kind"])
-def test_apply_map_rejects_malformed_maps(cal, match):
+        "isotonic 1-D", "isotonic 3 columns", "unknown kind",
+        "isotonic value above 1", "constant below 0", "platt 3 coefficients",
+        "constant 2 values"])
+def test_apply_map_rejects_malformed_maps(kwargs, match):
+    # the map raises where it is built, so apply_map never meets it
     with pytest.raises(ValidationError, match=match):
-        apply_map(cal, [0.1, 0.5, 0.9])
+        CalibratorMap(**kwargs)
+
+
+def test_isotonic_map_keeps_its_own_breakpoints():
+    rows = np.array([[0.2, 0.1], [0.8, 0.9]])
+    cal = CalibratorMap("isotonic", breakpoints=rows)
+    before = apply_map(cal, [0.1, 0.5, 0.9]).tolist(), cal.to_json()
+    rows[:] = [[0.5, 1.0], [0.6, 0.0]]
+    assert (apply_map(cal, [0.1, 0.5, 0.9]).tolist(), cal.to_json()) == before
+    with pytest.raises(ValueError, match="read-only"):
+        cal.breakpoints[0, 1] = 0.5

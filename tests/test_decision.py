@@ -35,6 +35,8 @@ def test_loss_bd_corners():
     (0.5, 2, 0.5, "^yhat must"),
     (0.5, math.nan, 0.5, "^yhat must"),
     (np.array([0.2, 0.4]), np.array([1.0, 0.5]), 0.5, "^yhat must"),
+    (0.5, 1, np.array([0.1, 0.9]), "^tau "),
+    (0.5, 1, [0.1, 0.9], "^tau "),
 ])
 def test_loss_bd_rejects_out_of_range(y, yhat, tau, match):
     with pytest.raises(ValidationError, match=match):
@@ -216,7 +218,8 @@ def test_schervish_truthful_reporting_not_worse():
 
 
 @pytest.mark.parametrize("y, p", [(3.0, 0.2), (0.5, float("nan")),
-                                  (-0.1, 0.5), (0.5, 1.5), (float("inf"), 0.5)])
+                                  (-0.1, 0.5), (0.5, 1.5), (float("inf"), 0.5),
+                                  (np.array([0.2, 0.8]), 0.5), (0.5, [0.2])])
 def test_schervish_rejects_out_of_range(y, p):
     mix = DiscreteMixture(((0.25, 0.5), (0.75, 0.5)))
     with pytest.raises(ValidationError):
@@ -260,6 +263,9 @@ def test_mixture_rejects_impossible_atoms(atoms, match):
     dict(weights=[0.0, 0.0]),
     dict(weights=[1.0]),
     dict(weights=[1e308, 1e308]),
+    dict(tau=np.array([0.1, 0.9])),
+    dict(tau=[0.1, 0.9]),
+    dict(forecasts=[0.2, 0.5, 0.8], means=[0.3, 0.4, 0.6], tau=[0.1, 0.9]),
 ])
 def test_eval_set_rejects_invalid_input(kwargs):
     args = dict(forecasts=[0.2, 0.8], means=[0.3, 0.6], tau=0.5)
@@ -268,7 +274,7 @@ def test_eval_set_rejects_invalid_input(kwargs):
 
 
 def test_risk_st_rejects_invalid_input():
-    for ystar in (float("nan"), 1.5):
+    for ystar in (float("nan"), 1.5, np.array([0.1, 0.9]), [0.1, 0.9]):
         with pytest.raises(ValidationError):
             risk_st([0.2, 0.8], [0.0, 1.0], ystar)
     with pytest.raises(ValidationError):
