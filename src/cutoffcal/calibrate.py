@@ -52,7 +52,9 @@ class CalibratorMap:
     when built, raising ValidationError unless every entry is finite,
     every value is in [0, 1], platt has two coefficients and isotonic
     breakpoints are a non-empty (m, 2) array with strictly increasing
-    inputs, which the map keeps as a read-only float copy.
+    inputs, which the map keeps as a read-only float copy. Entries must be
+    numbers, not strings or bools; coefficients are kept as a tuple of two
+    floats and constant_value as a float.
     """
 
     kind: str
@@ -65,7 +67,14 @@ class CalibratorMap:
                  "constant": self.constant_value}
         if self.kind not in field:
             raise ValidationError(f"unknown map kind: {self.kind!r}")
-        values = np.array(field[self.kind], dtype=float)
+        try:
+            values = np.asarray(field[self.kind])
+        except ValueError:  # ragged
+            values = None
+        # strings and bools are refused even where numpy would convert them
+        if values is None or values.dtype.kind not in "iuf":
+            raise ValidationError(f"{self.kind} map entries must be numbers")
+        values = values.astype(float)  # a copy
         if not np.all(np.isfinite(values)):
             raise ValidationError(f"{self.kind} map has a non-finite entry")
         if self.kind == "isotonic":
@@ -80,6 +89,10 @@ class CalibratorMap:
         elif values.shape != ((2,) if self.kind == "platt" else ()):
             raise ValidationError("a platt map has two coefficients (a, b), "
                                   "a constant map one value")
+        elif self.kind == "platt":
+            object.__setattr__(self, "coefficients", tuple(values.tolist()))
+        else:
+            object.__setattr__(self, "constant_value", values.item())
         if self.kind != "platt":
             _check_unit(f"{self.kind} map values", values)
 
@@ -165,8 +178,9 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
     sum_g (counts_g + target_sums_g); p_g is known to an absolute eps, so
     counts_g, not counts_g p_g, bounds the error of counts_g p_g. Raises
     PlattDivergence, naming the last |grad|, the floor and the steps
-    taken, after _MAX_ITER steps or a step that 50 halvings cannot make
-    descend. Sums are pairwise np.sum.
+    taken, after _MAX_ITER steps, a step that 50 halvings cannot make
+    descend, or a Newton step that is not finite or does not move (a, b),
+    which it reports as a stall. Sums are pairwise np.sum.
 
     Raises PlattDivergence at once when no finite minimiser exists. Call a
     group lo if target_sums_g < counts_g and hi if target_sums_g > 0 (a
@@ -202,6 +216,13 @@ def _logistic_fit(t: np.ndarray, target_sums: np.ndarray, counts: np.ndarray):
         off = np.sum(h * t)
         H = np.array([[np.sum(h * t * t), off], [off, np.sum(h)]])
         step = np.linalg.lstsq(H, grad, rcond=None)[0]
+        if not (np.all(np.isfinite(step)) and np.any(theta - step != theta)):
+            # e.g. H is 0 once p rounds to 0 or 1 at every group; theta
+            # would then never move again
+            raise PlattDivergence(
+                f"logistic fit stalled after {steps} Newton steps: the step "
+                f"does not move (a, b) at |grad|={np.linalg.norm(grad):.3e}, "
+                f"above the stop floor {floor:.3e}")
         for _ in range(50):
             cand = theta - step
             new, z_new = loss(cand)

@@ -42,8 +42,7 @@ def _lipschitz_report(name, data):
 
 def _read_columns(path, oracle=False):
     """The file's columns; with oracle, the file must have oracle_mean."""
-    with open(path, "rb") as fh:
-        cols = load_columns(fh)
+    cols = load_columns(path)
     if oracle and cols.oracle_means is None:
         raise ValidationError(f"{path} has no oracle_mean column")
     return cols

@@ -9,7 +9,10 @@ either contains all copies of a value or none.
 
 from __future__ import annotations
 
+import codecs
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -152,17 +155,36 @@ class Columns(NamedTuple):
     oracle_means: Optional[np.ndarray] = None
 
 
-def _parse_header(line: str) -> bool:
+def _parse_header(line: str) -> int:
+    """The column count the header names; ValidationError unless it is
+    forecast,outcome[,oracle_mean]."""
     cols = [c.strip() for c in line.strip().split(",")]
-    has_oracle = cols == ["forecast", "outcome", "oracle_mean"]
-    if cols != ["forecast", "outcome"] and not has_oracle:
+    if cols not in (["forecast", "outcome"],
+                    ["forecast", "outcome", "oracle_mean"]):
         raise ValidationError(f"bad CSV header: {line.strip()!r}")
-    return has_oracle
+    return len(cols)
+
+
+def _read_lines(path) -> list:
+    r"""The file's lines as str, split at \n, \r\n or \r after at most one
+    UTF-8 byte-order mark; ValidationError naming the first line that is
+    not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
+    for i, line in enumerate(lines):
+        try:
+            lines[i] = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"input is not UTF-8 at line {i + 1}: "
+                                  f"{e}") from None
+    return lines
 
 
 def _parse_lines(lines: list, width: int) -> np.ndarray:
     """Parse data lines one by one (the header is line 1); raise
-    ValidationError naming the first malformed or out-of-range line."""
+    ValidationError naming the first malformed or out-of-range line.
+    Fields are stripped of what str.isspace calls whitespace, as
+    np.loadtxt's parser strips them."""
     rows = []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
@@ -171,7 +193,7 @@ def _parse_lines(lines: list, width: int) -> np.ndarray:
         if len(parts) != width:
             raise ValidationError(f"malformed row at line {lineno}: {line!r}")
         try:
-            vals = [float(p) for p in parts]
+            vals = [float(p.strip()) for p in parts]
         except ValueError:
             raise ValidationError(f"malformed row at line {lineno}: {line!r}")
         # NaN fails the comparison; infinities are out of range
@@ -183,38 +205,41 @@ def _parse_lines(lines: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def load_columns(source) -> Columns:
-    """Parse a CSV byte stream (or bytes/str) into float columns.
+def load_columns(path) -> Columns:
+    r"""Parse the CSV file at path (a str or os.PathLike) into float columns.
 
-    Header must be ``forecast,outcome[,oracle_mean]``, after at most one
-    UTF-8 byte-order mark (as Excel writes it); oracle_means is None
-    without the third column. The data lines are parsed in one vectorised
-    pass and checked as a whole. When that check fails they are parsed
-    again line by line with float(), which decides: it raises
-    ValidationError with the offending line number, or accepts what
-    float() accepts and np.loadtxt does not, such as underscore digits and
-    whitespace-only lines. Blank lines are skipped and row order is
-    preserved.
+    The path must name a regular file: the header and the data are read
+    by two opens, so a pipe or a directory raises ValidationError. Lines
+    end at \n, \r\n or \r; other characters that str.splitlines breaks
+    on, such as \f or \u2028, are whitespace within a line. The header must
+    be ``forecast,outcome[,oracle_mean]``, after at most one UTF-8
+    byte-order mark (as Excel writes it); oracle_means is None without the
+    third column. The data lines are parsed by np.loadtxt's chunked file
+    reader and checked as a whole. When that parse or check fails, the
+    file is read again and parsed line by line with float(), which
+    decides: it raises ValidationError with the offending line number
+    (also for a line that is not UTF-8), or accepts what float() accepts
+    and np.loadtxt does not, such as underscore digits and whitespace-only
+    lines. Blank lines are skipped and row order is preserved.
     """
-    raw = source.read() if hasattr(source, "read") else source
+    path = os.fspath(path)
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValidationError(f"{path} is not a regular file")
     try:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    except UnicodeDecodeError as e:
-        raise ValidationError(f"input is not UTF-8: {e}") from None
-    lines = text.removeprefix("\ufeff").splitlines()
-    if not lines:
-        raise ValidationError("empty input")
-    width = 3 if _parse_header(lines[0]) else 2
-    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            width = _parse_header(fh.readline())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on zero rows
-            table = np.loadtxt(lines[1:], delimiter=",", comments=None,
-                               ndmin=2)
-    except ValueError:  # numpy's parser is stricter than float()
-        table = np.empty((0, width))
-    if (len(table) == 0 or table.shape[1] != width
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                               skiprows=1, encoding="utf-8-sig")
+    except ValueError:  # a bad header or byte, or a row numpy rejects
+        table = None
+    if (table is None or len(table) == 0 or table.shape[1] != width
             or not np.all((table >= 0.0) & (table <= 1.0))):
-        table = _parse_lines(lines[1:], width)
+        lines = _read_lines(path)
+        if not lines:
+            raise ValidationError("empty input")
+        table = _parse_lines(lines[1:], _parse_header(lines[0]))
     return Columns(*np.ascontiguousarray(table.T))
 
 

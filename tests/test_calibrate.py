@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy.optimize import isotonic_regression
 from cutoffcal import (CalibratorMap, ValidationError, apply_map,
                        cutoff_error, default_epsilon, fit_isotonic,
                        fit_modified_platt, fit_platt, grouped_from_arrays)
-from cutoffcal.calibrate import (PlattDivergence, _logistic_fit, _pava,
-                                 _sigmoid, population_platt, smoothed_targets)
+from cutoffcal.calibrate import (_MAX_ITER, PlattDivergence, _logistic_fit,
+                                 _pava, _sigmoid, population_platt,
+                                 smoothed_targets)
 from oracles import exhaustive_monotone_lsq
 
 
@@ -272,6 +274,25 @@ def test_logistic_fit_raises_after_max_iter(monkeypatch):
         _logistic_fit(t, np.array([0.0, 1.0, 0.0, 1.0]), np.ones_like(t))
 
 
+def test_logistic_fit_reports_a_stall_at_once(monkeypatch):
+    # p rounds to 0 or 1 at every group, so H is 0 and the Newton step is
+    # 0 while |grad| is 4.5: (a, b) can never move again
+    steps = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: steps.append(1) or lstsq(*a, **k))
+    t = np.array([0.0, 0.25, 0.5, 0.75])
+    counts = np.array([78.55, 0.00847, 5.5e6, 7.39])
+    target_sums = np.array([0.0, 0.00847, 0.0, 3.59])
+    with pytest.raises(PlattDivergence,
+                       match=r"stalled after (\d+) Newton steps: the step "
+                             r"does not move \(a, b\) at \|grad\|=4\.49\de\+00"
+                       ) as info:
+        _logistic_fit(t, target_sums, counts)
+    taken = int(re.search(r"after (\d+) ", str(info.value)).group(1))
+    assert len(steps) == taken + 1 < _MAX_ITER
+
+
 @pytest.mark.parametrize("atoms", [
     [(0.2, 0.0, 0.5), (0.8, 1.0, 0.5)],
     [(0.25, 1.0, 0.5), (0.75, 0.0, 0.5)],
@@ -528,15 +549,36 @@ def test_isotonic_to_json_rejects_non_finite(bad, where):
      r"values must be finite and in \[0, 1\]"),
     (dict(kind="platt", coefficients=(1.0, 0.0, 0.5)), "two coefficients"),
     (dict(kind="constant", constant_value=[0.2, 0.4]), "one value"),
+    (dict(kind="isotonic", breakpoints=[[0.2], [0.5, 0.3]]), "numbers"),
+    (dict(kind="isotonic", breakpoints=[["a", 0.1]]), "numbers"),
+    (dict(kind="isotonic", breakpoints=[["0.2", "0.1"]]), "numbers"),
+    (dict(kind="isotonic"), "numbers"),
+    (dict(kind="platt", coefficients=["1", 2]), "numbers"),
+    (dict(kind="platt", coefficients=(1.0, None)), "numbers"),
+    (dict(kind="constant", constant_value="0.5"), "numbers"),
+    (dict(kind="constant", constant_value=True), "numbers"),
 ], ids=["platt nan", "platt inf", "constant nan", "isotonic nan",
         "isotonic decreasing", "isotonic repeated", "isotonic empty",
         "isotonic 1-D", "isotonic 3 columns", "unknown kind",
         "isotonic value above 1", "constant below 0", "platt 3 coefficients",
-        "constant 2 values"])
+        "constant 2 values", "isotonic ragged", "isotonic letter",
+        "isotonic strings", "isotonic missing", "platt string",
+        "platt None", "constant string", "constant bool"])
 def test_apply_map_rejects_malformed_maps(kwargs, match):
     # the map raises where it is built, so apply_map never meets it
     with pytest.raises(ValidationError, match=match):
         CalibratorMap(**kwargs)
+
+
+def test_map_keeps_its_numbers_as_floats():
+    platt = CalibratorMap("platt", coefficients=[np.float32(0.5), 2])
+    const = CalibratorMap("constant", constant_value=np.float64(0.25))
+    assert platt.coefficients == (0.5, 2.0)
+    assert [type(v) for v in platt.coefficients] == [float, float]
+    assert type(const.constant_value) is float
+    assert platt.to_json() == ('{"kind": "platt", "coefficients": '
+                               '{"a": 0.5, "b": 2.0}}')
+    assert const.to_json() == '{"kind": "constant", "constant_value": 0.25}'
 
 
 def test_isotonic_map_keeps_its_own_breakpoints():

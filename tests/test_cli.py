@@ -261,8 +261,7 @@ def test_isotonic_stdout_is_one_line_with_exact_breakpoints(empirical_csv,
     out = capsysbinary.readouterr().out
     assert out.endswith(b"\n") and out.count(b"\n") == 1
     got = np.array(json.loads(out)["calibrator"]["breakpoints"])
-    with open(empirical_csv, "rb") as fh:
-        t, y, _ = load_columns(fh)
+    t, y, _ = load_columns(empirical_csv)
     want = fit_isotonic(t, y).breakpoints
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -294,11 +293,8 @@ def test_isotonic_report_is_json_dumps_of_the_map(grid, tmp_path,
     assert main(["calibrate", str(paths[0]), "--method", "isotonic",
                  "--test-input", str(paths[1])]) == 0
     out = capsysbinary.readouterr().out
-    with open(paths[0], "rb") as fh:
-        t, y, _ = load_columns(fh)
-    cmap = fit_isotonic(t, y)
-    with open(paths[1], "rb") as fh:
-        t, y, _ = load_columns(fh)
+    cmap = fit_isotonic(*load_columns(paths[0])[:2])
+    t, y, _ = load_columns(paths[1])
     evaluation = {
         "pre_cutoff": cutoff_error(grouped_from_arrays(t, y)).value,
         "post_cutoff": cutoff_error(

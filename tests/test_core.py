@@ -1,7 +1,9 @@
+import codecs
 import importlib
 import inspect
-import io
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -20,40 +22,51 @@ def groups(data):
                     data.counts.tolist(), data.target_sums.tolist()))
 
 
-def test_load_basic():
-    cols = load_columns(b"forecast,outcome\n0.5,1\n0.2,0\n")
+def csv_file(directory, content):
+    """content (str as UTF-8, newlines kept as written, or bytes) as a CSV
+    file in directory; its path."""
+    path = directory / "data.csv"
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
+def test_load_basic(tmp_path):
+    cols = load_columns(csv_file(tmp_path, "forecast,outcome\n0.5,1\n0.2,0\n"))
     assert list(zip(cols.forecasts.tolist(), cols.outcomes.tolist())) == \
         [(0.5, 1.0), (0.2, 0.0)]
     assert cols.oracle_means is None
 
 
-def test_load_out_of_range_reports_line():
+def test_load_out_of_range_reports_line(tmp_path):
     with pytest.raises(ValidationError, match="line 2"):
-        load_columns(b"forecast,outcome\n1.5,0\n")
+        load_columns(csv_file(tmp_path, "forecast,outcome\n1.5,0\n"))
 
 
-def test_load_oracle_mode():
-    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n")
+def test_load_oracle_mode(tmp_path):
+    cols = load_columns(csv_file(tmp_path,
+                                 "forecast,outcome,oracle_mean\n0.3,0,0.25\n"))
     assert [c.tolist() for c in cols] == [[0.3], [0.0], [0.25]]
-    assert load_columns(b"forecast,outcome\n0.3,0\n").oracle_means is None
+    path = csv_file(tmp_path, "forecast,outcome\n0.3,0\n")
+    assert load_columns(path).oracle_means is None
 
 
-def test_load_malformed_row():
+def test_load_malformed_row(tmp_path):
     with pytest.raises(ValidationError, match="line 3"):
-        load_columns(b"forecast,outcome\n0.5,1\n0.2\n")
+        load_columns(csv_file(tmp_path, "forecast,outcome\n0.5,1\n0.2\n"))
 
 
-def test_load_accepts_file_object():
-    cols = load_columns(io.BytesIO(b"forecast,outcome\n0.5,1\n"))
-    assert len(cols.forecasts) == 1
+def test_load_accepts_path_object(tmp_path):
+    path = csv_file(tmp_path, "forecast,outcome\n0.5,1\n")
+    assert [c.tolist() for c in load_columns(path)[:2]] == \
+        [c.tolist() for c in load_columns(str(path))[:2]] == [[0.5], [1.0]]
 
 
-def test_round_trip():
+def test_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     table = rng.random((50, 3))
     text = "forecast,outcome,oracle_mean\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
-    again = load_columns(text)
+    again = load_columns(csv_file(tmp_path, text))
     assert np.column_stack(again).tobytes() == table.tobytes()
 
 
@@ -69,8 +82,9 @@ def test_group_zero_residual():
     assert groups(data) == [(0.3, 0.0, 1.0, 0.3)]
 
 
-def test_group_oracle_residual():
-    cols = load_columns(b"forecast,outcome,oracle_mean\n0.3,0,0.25\n")
+def test_group_oracle_residual(tmp_path):
+    cols = load_columns(csv_file(tmp_path,
+                                 "forecast,outcome,oracle_mean\n0.3,0,0.25\n"))
     data = grouped_from_arrays(cols.forecasts, cols.oracle_means)
     f, r, c, v = groups(data)[0]
     assert (f, c, v) == (0.3, 1.0, 0.25)
@@ -215,10 +229,10 @@ def test_pooling_large_ties_permutation_invariant():
 
 
 def line_parser(text):
-    """The line-by-line reference the vectorised loader falls back to."""
-    lines = text.splitlines()
-    width = 3 if core._parse_header(lines[0]) else 2
-    return core._parse_lines(lines[1:], width)
+    r"""The line-by-line reference the vectorised loader falls back to, on
+    lines that end at \n, \r\n or \r."""
+    lines = [line.decode() for line in text.encode().splitlines()]
+    return core._parse_lines(lines[1:], core._parse_header(lines[0]))
 
 
 # name -> (CSV text, whether the vectorised pass accepts it on its own)
@@ -241,29 +255,46 @@ EDGE_INPUTS = {
     "missing column": ("forecast,outcome,oracle_mean\n0.5,1\n", False),
     "trailing comma": ("forecast,outcome\n0.5,1,\n", False),
     "empty field": ("forecast,outcome\n,1\n", False),
-    "form feed in row": ("forecast,outcome\n0.5\x0c,1\n", False),
+    "nul in row": ("forecast,outcome\n0.5\x00,1\n", False),
 }
+# Lines end only at \n, \r\n or \r. The other characters str.splitlines
+# breaks on, and the unit separator, are whitespace: np.loadtxt strips them
+# from a field, and skips no line that holds only them, which the line
+# parser does
+for name, char in [("vertical tab", "\v"), ("form feed", "\f"),
+                   ("file separator", "\x1c"), ("group separator", "\x1d"),
+                   ("record separator", "\x1e"), ("unit separator", "\x1f"),
+                   ("next line", "\x85"), ("line separator", "\u2028"),
+                   ("paragraph separator", "\u2029")]:
+    EDGE_INPUTS[f"{name} in row"] = (f"forecast,outcome\n0.5{char},1\n", True)
+    EDGE_INPUTS[f"{name} alone"] = (
+        f"forecast,outcome\n0.5,1\n{char}\n0.2,0\n", False)
 
 
-@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
-def test_loader_matches_line_parser(name, monkeypatch):
-    text, fast = EDGE_INPUTS[name]
-    try:
-        expected, error = line_parser(text), None
-    except ValidationError as e:
-        expected, error = None, str(e)
+def load_and_count_fallbacks(path, monkeypatch):
+    """load_columns(path) and how often it fell back to the line parser."""
     fallbacks = []
     real = core._parse_lines
     monkeypatch.setattr(core, "_parse_lines",
                         lambda *a: fallbacks.append(a) or real(*a))
-    if error is None:
-        cols = load_columns(text)
-        got = np.column_stack([c for c in cols if c is not None])
-        assert got.tobytes() == expected.tobytes()
-    else:
+    cols = load_columns(path)
+    monkeypatch.undo()
+    return np.column_stack([c for c in cols if c is not None]), len(fallbacks)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_loader_matches_line_parser(name, tmp_path, monkeypatch):
+    text, fast = EDGE_INPUTS[name]
+    path = csv_file(tmp_path, text)
+    try:
+        expected = line_parser(text)
+    except ValidationError as e:
         with pytest.raises(ValidationError) as info:
-            load_columns(text)
-        assert str(info.value) == error
+            load_columns(path)
+        assert str(info.value) == str(e) and not fast
+        return
+    got, fallbacks = load_and_count_fallbacks(path, monkeypatch)
+    assert got.tobytes() == expected.tobytes()
     assert (not fallbacks) == fast
 
 
@@ -271,12 +302,26 @@ def test_loader_matches_line_parser(name, monkeypatch):
                 max_size=50),
        st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", " {:.6f} "]))
 @settings(max_examples=200, deadline=None)
-def test_loader_values_match_float(pairs, fmt):
+def test_loader_values_match_float(tmp_path_factory, pairs, fmt):
     text = "forecast,outcome\n" + "".join(
         f"{fmt.format(t)},{fmt.format(y)}\n" for t, y in pairs)
-    cols = load_columns(text)
+    cols = load_columns(csv_file(tmp_path_factory.mktemp("csv"), text))
     assert np.stack([cols.forecasts, cols.outcomes], axis=1).tobytes() == \
         line_parser(text).tobytes()
+
+
+def test_loader_reads_a_large_file_with_bom_and_crlf(tmp_path, monkeypatch):
+    # more than 1 MB, so np.loadtxt reads it in several chunks
+    rng = np.random.default_rng(11)
+    table = np.column_stack((rng.random(40_000), rng.integers(0, 2, 40_000),
+                             rng.random(40_000)))
+    text = "forecast,outcome,oracle_mean\r\n" + "".join(
+        f"{t!r},{y:.0f},{m!r}\r\n" for t, y, m in table.tolist())
+    path = csv_file(tmp_path, codecs.BOM_UTF8 + text.encode())
+    assert path.stat().st_size > 1 << 20
+    got, fallbacks = load_and_count_fallbacks(path, monkeypatch)
+    assert fallbacks == 0
+    assert got.tobytes() == line_parser(text).tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize("text, match", [
@@ -288,14 +333,46 @@ def test_loader_values_match_float(pairs, fmt):
     (b"forecast,outcome,weight\n0.5,1,2\n", "bad CSV header"),
 ], ids=["empty", "byte-order mark only", "wrong column", "no header",
         "unknown column, two values", "unknown column, three values"])
-def test_load_rejects_bad_header_and_empty_input(text, match):
+def test_load_rejects_bad_header_and_empty_input(text, match, tmp_path):
     with pytest.raises(ValidationError, match=match):
-        load_columns(text)
+        load_columns(csv_file(tmp_path, text))
 
 
-def test_load_rejects_non_utf8():
-    with pytest.raises(ValidationError, match="UTF-8"):
-        load_columns(b"forecast,outcome\n0.5,1\xff\n")
+def test_load_rejects_non_utf8(tmp_path):
+    with pytest.raises(ValidationError, match="not UTF-8 at line 2: "):
+        load_columns(csv_file(tmp_path, b"forecast,outcome\n0.5,1\xff\n"))
+    with pytest.raises(ValidationError, match="not UTF-8 at line 1: "):
+        load_columns(csv_file(tmp_path, b"forecast,outcome\xff\n0.5,1\n"))
+
+
+def test_load_names_the_non_utf8_line_past_the_first_chunk(tmp_path):
+    lines = [b"forecast,outcome"] + [b"0.25,1"] * 20_000
+    lines[15_000] = b"0.25,\xff1"
+    path = csv_file(tmp_path, b"\n".join(lines) + b"\n")
+    assert len(b"\n".join(lines[:15_000])) > 64 * 1024
+    with pytest.raises(ValidationError,
+                       match="not UTF-8 at line 15001: .*position 5"):
+        load_columns(path)
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir],
+                         ids=["fifo", "directory"])
+def test_load_refuses_what_is_not_a_regular_file(make, tmp_path):
+    path = tmp_path / "input"
+    make(path)
+    errors = []
+
+    def load():
+        try:
+            load_columns(path)
+        except ValidationError as e:
+            errors.append(str(e))
+
+    # opening a FIFO to read blocks until a writer opens it
+    worker = threading.Thread(target=load, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert errors == [f"{path} is not a regular file"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7, -0.5])
