@@ -1,5 +1,5 @@
 """Calibration-audit toolkit: interval-supremum calibration error, post-hoc
-calibrators with distribution-free guarantees, two-stage certification, and
+calibrators with distribution-free guarantees, certification, and
 decision-theoretic risk-gap evaluation."""
 
 from .core import *

@@ -3,11 +3,12 @@ guarded logistic variant that falls back to a constant predictor when the
 recalibrated training data still shows a large interval-supremum error.
 Each fitter takes per-row forecasts and outcomes.
 
-Two-stage split-and-test certification with a distribution-free guarantee:
-train an arbitrary model on the first half of the data, estimate its
-interval-supremum calibration error on the second half, and accept it only
-if the estimate clears a concentration-corrected threshold; otherwise fall
-back to the constant predictor at the second-half outcome mean.
+Certification with a distribution-free guarantee: estimate a model's
+interval-supremum calibration error on rows it has not seen, and accept it
+only if the estimate clears a concentration-corrected threshold; otherwise
+fall back to the constant predictor at those rows' outcome mean. Forecasts
+fixed before the outcomes are tested on every row; a model trained on the
+data is trained on the first half and tested on the second.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (SeededRng, ValidationError, _check_rows, _check_unit,
-                   _check_weights, grouped_from_arrays)
+from .core import (SeededRng, ValidationError, _check_number, _check_rows,
+                   _check_unit, _check_weights, grouped_from_arrays)
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -273,6 +274,16 @@ def population_platt(forecasts, means, masses) -> tuple:
     return float(theta[0]), float(theta[1])
 
 
+def _guard(model, forecasts, outcomes, threshold: float):
+    """The fallback policy of both guards: the scan error of forecasts
+    against outcomes, the outcome mean, and model if the error is at most
+    threshold, else the constant map at that mean."""
+    est = cutoff_error(grouped_from_arrays(forecasts, outcomes)).value
+    mean = float(np.mean(outcomes))
+    return est, mean, (model if est <= threshold else
+                       CalibratorMap("constant", constant_value=mean))
+
+
 def default_epsilon(n: int) -> float:
     """Acceptance tolerance matching the delta = 0.05 concentration radius."""
     return concentration_radius(n, 0.05)
@@ -291,23 +302,23 @@ def fit_modified_platt(forecasts, outcomes,
     t, y = _check_rows(forecasts, outcomes=outcomes)
     if epsilon_n is None:
         epsilon_n = default_epsilon(len(t))
+    _check_number("epsilon_n", epsilon_n)
     if not epsilon_n > 0:
         raise ValidationError("epsilon_n must be positive")
     platt = fit_platt(t, y)
-    z = apply_map(platt, t)
-    est = cutoff_error(grouped_from_arrays(z, y))
-    if est.value <= epsilon_n:
-        return platt
-    return CalibratorMap("constant", constant_value=float(np.mean(y)))
+    return _guard(platt, apply_map(platt, t), y, epsilon_n)[2]
 
 
 @dataclass(frozen=True)
 class CertificationVerdict:
     """Accept/fallback decision with the quantities behind it.
 
-    accepted iff estimate <= threshold = c - radius(delta, floor(n/2)).
-    When rejected, returned_model is the constant map at the second-half
-    outcome mean.
+    The estimate uses m rows: all n without a trainer, the floor(n/2)
+    held-out rows with one. accepted iff estimate <= threshold = c -
+    radius(m, delta). returned_model is None (the forecasts) or the trained
+    model when accepted, else the constant map at those m rows' outcome
+    mean. With c >= min_admissible_c(m, delta), the returned model's
+    cutoff error is at most c with probability at least 1 - 3*delta.
     """
 
     accepted: bool
@@ -320,35 +331,49 @@ class CertificationVerdict:
     n: int
 
     def to_dict(self) -> dict:
-        """Fields in order, returned_model last: its dict or trained:<type>."""
+        """Fields in order, returned_model last: its dict, "forecasts" for
+        None, or trained:<type>."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         model = d.pop("returned_model")
         d["returned_model"] = (model.to_dict()
                                if isinstance(model, CalibratorMap)
+                               else "forecasts" if model is None
                                else f"trained:{type(model).__name__}")
         return d
 
 
-def min_admissible_c(n: int, delta: float) -> float:
-    """Smallest threshold c for which the 1 - 2*delta guarantee applies."""
+def min_admissible_c(m: int, delta: float) -> float:
+    """Smallest threshold c, sqrt(ln(1/delta)/(2m)), for which the 1 -
+    3*delta guarantee applies when the estimate uses m rows.
+
+    The estimate misses the truth by more than its radius with probability
+    at most delta. At this c, two-sided Hoeffding puts the chance that the
+    fallback mean of the m rows misses E Y by more than c at 2 exp(-2 m
+    c^2) <= 2*delta; the union bound leaves 1 - 3*delta.
+    """
+    _check_number("m", m)
+    _check_number("delta", delta)
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
-    if not n >= 2:
-        raise ValidationError(f"need n >= 2 samples, got {n!r}")
-    return math.sqrt(-math.log(delta) / (2.0 * (n // 2)))
+    if not m >= 1:
+        raise ValidationError(f"need m >= 1 rows, got {m!r}")
+    return math.sqrt(-math.log(delta) / (2.0 * m))
 
 
 def certify(covariates, outcomes,
-            trainer: Callable[[np.ndarray, np.ndarray], Callable],
+            trainer: Optional[Callable[[np.ndarray, np.ndarray], Callable]],
             c: float, delta: float,
             split_seed: Optional[SeededRng] = None) -> CertificationVerdict:
-    """Run the two-stage procedure and return the verdict.
+    """Certify a model's cutoff error at level c and return the verdict.
 
     covariates: rows along the first axis as np.asarray sees them, one per
-    outcome (an object array carries opaque handles). trainer gets the first
-    ceil(n/2) rows and outcomes and returns a model, called once on the
-    other rows, that must return one forecast in [0, 1] per row. The split
-    is in input order; split_seed permutes the rows first (for sorted files).
+    outcome (an object array carries opaque handles). With trainer None
+    the covariates are forecasts fixed before the outcomes were drawn, and
+    every row tests them. Otherwise trainer gets the first ceil(n/2) rows
+    and outcomes and returns a model, called once on the other rows, that
+    must return one forecast in [0, 1] per row. The split is in input
+    order; split_seed permutes the rows first (for sorted files) and needs
+    a trainer.
     """
     x = np.asarray(covariates)
     outcomes = np.asarray(outcomes, dtype=float)
@@ -360,36 +385,36 @@ def certify(covariates, outcomes,
     n = len(outcomes)
     if n < 4:
         raise ValidationError("need at least 4 samples")
+    _check_number("c", c)
     if not math.isfinite(c):
         raise ValidationError(f"c must be finite, got {c!r}")
-    floor = min_admissible_c(n, delta)
+    if trainer is None and split_seed is not None:
+        raise ValidationError("split_seed needs a trainer: forecasts are "
+                              "tested on every row, unsplit")
+    m = n if trainer is None else n // 2
+    floor = min_admissible_c(m, delta)
     if c < floor:
-        raise ValidationError(
-            f"c={c} below the admissible floor sqrt(ln(1/delta)/(2*floor(n/2)))"
-            f" = {floor:.6g}")
+        raise ValidationError(f"c={c} below the admissible floor "
+                              f"sqrt(ln(1/delta)/(2*{m})) = {floor:.6g}")
 
-    idx = np.arange(n)
-    if split_seed is not None:
-        idx = split_seed.generator().permutation(n)
-    k = -(-n // 2)  # ceil(n/2)
-    train_idx, test_idx = idx[:k], idx[k:]
+    if trainer is None:
+        model, forecasts, test_y = None, x, outcomes
+    else:
+        idx = (np.arange(n) if split_seed is None
+               else split_seed.generator().permutation(n))
+        k = -(-n // 2)  # train on ceil(n/2) rows, test on the rest
+        model = trainer(x[idx[:k]], outcomes[idx[:k]])
+        test_y = outcomes[idx[k:]]
+        forecasts = np.asarray(model(x[idx[k:]]), dtype=float)
+        if forecasts.shape != test_y.shape:
+            name = getattr(model, "__qualname__", type(model).__name__)
+            raise ValidationError(
+                f"model {name} must return one forecast per held-out row: "
+                f"expected shape {test_y.shape}, got {forecasts.shape}")
 
-    model = trainer(x[train_idx], outcomes[train_idx])
-    test_y = outcomes[test_idx]
-    forecasts = np.asarray(model(x[test_idx]), dtype=float)
-    if forecasts.shape != test_y.shape:
-        name = getattr(model, "__qualname__", type(model).__name__)
-        raise ValidationError(
-            f"model {name} must return one forecast per held-out row: "
-            f"expected shape {test_y.shape}, got {forecasts.shape}")
-
-    est = cutoff_error(grouped_from_arrays(forecasts, test_y))
-    threshold = c - concentration_radius(n // 2, delta)
-    fallback_mean = float(np.mean(test_y))
-    accepted = est.value <= threshold
-    returned = model if accepted else CalibratorMap(
-        "constant", constant_value=fallback_mean)
-    return CertificationVerdict(accepted, est.value, threshold, c, delta,
+    threshold = c - concentration_radius(m, delta)
+    est, fallback_mean, returned = _guard(model, forecasts, test_y, threshold)
+    return CertificationVerdict(returned is model, est, threshold, c, delta,
                                 returned, fallback_mean, n)
 
 

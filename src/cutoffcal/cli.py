@@ -16,8 +16,7 @@ from . import calibrate as cal
 from . import decision as dec
 from . import experiments as exp
 from . import metrics as met
-from .core import (SeededRng, ValidationError, grouped_from_arrays,
-                   load_columns)
+from .core import ValidationError, grouped_from_arrays, load_columns
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,15 +106,8 @@ def cmd_calibrate(args) -> str:
 
 def cmd_certify(args) -> str:
     cols = _read_columns(args.input)
-
-    def pretrained(train_cov, train_y):
-        # the file already carries model forecasts; the model is identity
-        return lambda x: x
-
-    seed = SeededRng(args.shuffle_seed) if args.shuffle_seed is not None else None
-    verdict = cal.certify(cols.forecasts, cols.outcomes, pretrained,
-                          args.c, args.delta, split_seed=seed)
-    return _json(verdict.to_dict())
+    return _json(cal.certify(cols.forecasts, cols.outcomes, None, args.c,
+                             args.delta).to_dict())
 
 
 def cmd_decide(args) -> str:
@@ -175,11 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_calibrate)
 
     ce = sub.add_parser("certify", parents=[out],
-                        help="two-stage certification of forecasts")
+                        help="certify the forecasts on every row")
     ce.add_argument("input")
     ce.add_argument("--c", type=float, required=True)
     ce.add_argument("--delta", type=float, default=0.05)
-    ce.add_argument("--shuffle-seed", type=int, default=None)
     ce.set_defaults(func=cmd_certify)
 
     d = sub.add_parser("decide", parents=[out],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import codecs
 import math
+import numbers
 import os
 import stat
 import warnings
@@ -46,6 +47,13 @@ def _check_int(name: str, value, low: int) -> None:
             or value < low):
         raise ValidationError(f"{name} must be an integer >= {low}, "
                               f"got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    """Raise ValidationError unless value is one real (numpy) number, not a
+    bool or an array; NaN and infinities pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be one number, got {value!r}")
 
 
 def _check_rows(forecasts, **columns) -> list:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
 from .core import (GroupedDataset, SeededRng, ValidationError, _check_int,
-                   _check_unit, grouped_from_arrays)
-from .decision import risks
+                   grouped_from_arrays)
+from .decision import _check_prob, risks
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
 
 __all__ = [
@@ -42,7 +42,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("runs", "n_train", "n_eval"):
             _check_int(name, getattr(self, name), 1)
-        _check_unit(f"tau ({self.tau!r})", self.tau)
+        _check_prob(f"tau ({self.tau!r})", self.tau)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import GroupedDataset, ValidationError, _check_int
+from .core import GroupedDataset, ValidationError, _check_int, _check_number
 
 __all__ = [
     "CutoffEstimate",
@@ -32,6 +32,8 @@ __all__ = [
 
 def concentration_radius(n: float, delta: float) -> float:
     """High-probability deviation radius of the plug-in interval estimator."""
+    _check_number("n", n)
+    _check_number("delta", delta)
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
     if not 0.0 < n < math.inf:

@@ -8,8 +8,9 @@ import pytest
 import cutoffcal
 from cutoffcal import (CertificationVerdict, SeededRng, ValidationError,
                        certify, min_admissible_c)
-from cutoffcal.calibrate import CalibratorMap
+from cutoffcal.calibrate import CalibratorMap, fit_modified_platt
 from cutoffcal.core import grouped_from_arrays
+from cutoffcal.experiments import SimulationConfig
 from cutoffcal.metrics import concentration_radius, cutoff_error
 
 
@@ -46,7 +47,7 @@ def test_rejects_degenerate_and_returns_fallback():
 def test_c_floor_enforced_with_value_in_message():
     n, delta = 100, 0.05
     floor = math.sqrt(math.log(1 / delta) / (2 * (n // 2)))
-    assert min_admissible_c(n, delta) == pytest.approx(floor)
+    assert min_admissible_c(n // 2, delta) == pytest.approx(floor)
     with pytest.raises(ValidationError, match=f"{floor:.6g}"):
         certify([0.5] * n, [0.0] * n, identity_trainer,
                 c=floor * 0.99, delta=delta)
@@ -225,16 +226,17 @@ def test_non_finite_c_raises(c):
                 c=c, delta=0.1)
 
 
-@pytest.mark.parametrize("n", [0, 1, -3])
-def test_min_admissible_c_needs_two_samples(n):
-    with pytest.raises(ValidationError, match="n >= 2"):
-        min_admissible_c(n, 0.05)
+@pytest.mark.parametrize("m", [0, -3, 0.5])
+def test_min_admissible_c_needs_one_row(m):
+    with pytest.raises(ValidationError, match="m >= 1"):
+        min_admissible_c(m, 0.05)
+    assert min_admissible_c(1, 0.05) == math.sqrt(math.log(20) / 2)
 
 
 def test_min_admissible_c_at_tiny_delta():
     # 1/delta overflows for the smallest subnormal; ln(1/delta) does not
     ln_inverse = 300 * math.log(10) - math.log(5e-324 * 1e300)
-    assert min_admissible_c(100, 5e-324) == pytest.approx(
+    assert min_admissible_c(100 // 2, 5e-324) == pytest.approx(
         math.sqrt(ln_inverse / 100), rel=1e-12)
 
 
@@ -245,3 +247,90 @@ def test_certify_is_a_function_of_calibrate_not_a_module():
     assert cutoffcal.certify is m.certify
     assert m.CertificationVerdict is CertificationVerdict
     assert m.min_admissible_c is min_admissible_c
+
+
+def test_forecasts_are_tested_on_every_row():
+    rng = np.random.default_rng(27)
+    n, c, delta = 2000, 0.8, 0.05
+    t = np.round(rng.random(n), 2)
+    y = (rng.random(n) < t).astype(float)
+    verdict = certify(t, y, None, c, delta)
+    assert verdict.n == n
+    assert verdict.estimate == cutoff_error(grouped_from_arrays(t, y)).value
+    assert verdict.threshold == c - concentration_radius(n, delta)
+    assert verdict.fallback_mean == float(np.mean(y))
+    assert verdict.accepted and verdict.returned_model is None
+    assert verdict.to_dict()["returned_model"] == "forecasts"
+    # the floor prices the fallback mean of all n rows
+    floor = min_admissible_c(n, delta)
+    assert certify(t, y, None, floor, delta).n == n
+    with pytest.raises(ValidationError, match="floor"):
+        certify(t, y, None, np.nextafter(floor, 0.0), delta)
+
+
+def test_forecasts_fall_back_to_the_mean_of_every_row():
+    y = [0.0] * 500 + [1.0] * 1500
+    verdict = certify([1.0] * 2000, y, None, c=0.7, delta=0.1)
+    assert not verdict.accepted
+    assert verdict.estimate == pytest.approx(0.25)
+    assert verdict.returned_model.to_dict() == {"kind": "constant",
+                                                "constant_value": 0.75}
+    assert verdict.fallback_mean == 0.75
+
+
+def test_split_seed_needs_a_trainer():
+    with pytest.raises(ValidationError, match="split_seed needs a trainer"):
+        certify([0.5] * 100, [i % 2 for i in range(100)], None, c=4.0,
+                delta=0.1, split_seed=SeededRng(1))
+
+
+def test_forecasts_without_a_trainer_must_be_one_column():
+    features = np.full((100, 2), 0.5)
+    with pytest.raises(ValidationError, match="forecasts must be 1-D"):
+        certify(features, [i % 2 for i in range(100)], None, c=4.0, delta=0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimulationConfig(tau=np.array([0.3, 0.4])),
+    lambda: certify([0.5] * 100, [0, 1] * 50, None, c=np.array([1.0, 2.0]),
+                    delta=0.05),
+    lambda: certify([0.5] * 100, [0, 1] * 50, identity_trainer,
+                    c=np.array([1.0, 2.0]), delta=0.05),
+    lambda: certify([0.5] * 100, [0, 1] * 50, None, c=4.0,
+                    delta=np.array([0.05, 0.1])),
+    lambda: fit_modified_platt([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1],
+                               epsilon_n=np.array([0.1, 0.2])),
+    lambda: certify([0.5] * 100, [0, 1] * 50, None, c=True, delta=0.05),
+    lambda: certify([0.5] * 100, [0, 1] * 50, None, c="4", delta=0.05),
+    lambda: min_admissible_c(np.array([100, 200]), 0.05),
+    lambda: concentration_radius(100, np.array([0.05, 0.1])),
+], ids=["simulation tau", "c array", "c array with trainer", "delta array",
+        "epsilon_n array", "c bool", "c string", "m array", "radius delta"])
+def test_scalar_arguments_must_be_one_number(call):
+    with pytest.raises(ValidationError, match="one number"):
+        call()
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("scenario", ["truthful", "adversarial"])
+def test_forecasts_coverage(n, scenario):
+    # criterion 07's bound on the unsplit path, at its c and at the floor,
+    # where the fallback mean's Hoeffding share of the level is tight. The
+    # population errors are exact: forecasts f against the conditional
+    # mean mu have error 0 (truthful, f = mu = x) or 0.7 (adversarial,
+    # f = 1, mu = 0.3), and a constant q has |E mu - q|.
+    delta = 0.05
+    mean_mu, err_f = (0.5, 0.0) if scenario == "truthful" else (0.3, 0.7)
+    for c in (min_admissible_c(n, delta), 0.75):
+        gen = SeededRng(7007 + n).generator()
+        hits = 0
+        for _ in range(500):
+            x = gen.random(n)
+            mu = x if scenario == "truthful" else np.full(n, 0.3)
+            f = x if scenario == "truthful" else np.ones(n)
+            y = (gen.random(n) < mu).astype(float)
+            verdict = certify(f, y, None, c=c, delta=delta)
+            err = (err_f if verdict.accepted
+                   else abs(mean_mu - verdict.fallback_mean))
+            hits += err <= c
+        assert hits / 500 >= 1 - 2 * delta - 0.03, (c, hits)

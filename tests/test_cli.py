@@ -124,12 +124,15 @@ def test_certify_accept_and_schema(tmp_path, schema):
     # delta may be 1, the top of (0, 1], in the program and the schema
     p = tmp_path / "cal.csv"
     write_csv(p, [(0.5, i % 2) for i in range(2000)])
-    for extra in ([], ["--delta", "1"]):
+    # c - radius(2000): at delta 0.05 that is 0.29805, not c - radius(1000)
+    for extra, threshold in [([], 0.29805), (["--delta", "1"], 0.35279)]:
         code, obj = run_json(["certify", str(p), "--c", "0.8", *extra],
                              tmp_path)
         assert code == 0
         validate(obj, schema)
         assert obj["accepted"] is True
+        assert obj["n"] == 2000 and obj["returned_model"] == "forecasts"
+        assert obj["threshold"] == pytest.approx(threshold, abs=1e-5)
 
 
 def test_certify_bad_c_exit_2(tmp_path, capsys):
@@ -137,16 +140,37 @@ def test_certify_bad_c_exit_2(tmp_path, capsys):
     write_csv(p, [(0.5, i % 2) for i in range(100)])
     assert main(["certify", str(p), "--c", "0.0001"]) == 2
     assert "floor" in capsys.readouterr().err
+    # the floor prices all 2000 rows, 0.02737, not half of them, 0.03870
+    write_csv(p, [(0.5, i % 2) for i in range(2000)])
+    code, obj = run_json(["certify", str(p), "--c", "0.03"], tmp_path)
+    assert code == 0 and obj["accepted"] is False
+    assert obj["returned_model"] == {"kind": "constant",
+                                     "constant_value": 0.5}
 
 
-def test_certify_shuffle_deterministic(tmp_path):
+def test_certify_tests_every_row(tmp_path):
+    rng = np.random.default_rng(27)
+    t = np.round(rng.random(2000), 3)
+    y = (rng.random(2000) < t).astype(int)
+    p = tmp_path / "cal.csv"
+    write_csv(p, list(zip(t.tolist(), y.tolist())))
+    code, obj = run_json(["certify", str(p), "--c", "0.8", "--delta", "0.1"],
+                         tmp_path)
+    assert code == 0
+    assert obj == cutoffcal.certify(t, y, None, 0.8, 0.1).to_dict()
+    assert obj["n"] == 2000 and obj["returned_model"] == "forecasts"
+    assert obj["estimate"] == cutoff_error(grouped_from_arrays(t, y)).value
+    assert obj["threshold"] == 0.8 - cutoffcal.concentration_radius(2000, 0.1)
+    assert obj["fallback_mean"] == float(np.mean(y))
+
+
+def test_certify_rejects_shuffle_seed(tmp_path, capsys):
     p = tmp_path / "cal.csv"
     write_csv(p, [(0.5, 0)] * 200 + [(0.5, 1)] * 200)
-    _, a = run_json(["certify", str(p), "--c", "2.0", "--shuffle-seed", "4"],
-                    tmp_path, "a.json")
-    _, b = run_json(["certify", str(p), "--c", "2.0", "--shuffle-seed", "4"],
-                    tmp_path, "b.json")
-    assert a == b
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", str(p), "--c", "2.0", "--shuffle-seed", "4"])
+    assert exit_info.value.code == 2
+    assert "--shuffle-seed" in capsys.readouterr().err
 
 
 def test_decide_schema_and_gaps(oracle_csv, tmp_path, schema):
@@ -237,10 +261,8 @@ def test_simulate_csv_deterministic(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["simulate", "--runs", "1", "--n-eval", "10", "--seed", "-1"],
-    ["certify", None, "--c", "4", "--shuffle-seed", "-3"],
 ])
-def test_negative_seed_exit_2(args, empirical_csv, capsys):
-    args = [str(empirical_csv) if a is None else a for a in args]
+def test_negative_seed_exit_2(args, capsys):
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -310,7 +332,7 @@ def test_isotonic_report_is_json_dumps_of_the_map(grid, tmp_path,
     ["audit", "{oracle}", "--oracle"],
     ["calibrate", "{empirical}", "--method", "isotonic",
      "--test-input", "{empirical}"],
-    ["certify", "{empirical}", "--c", "4", "--shuffle-seed", "2"],
+    ["certify", "{empirical}", "--c", "4"],
     ["decide", "{oracle}", "--tau", "0.35", "--ystar", "0.5"],
     ["counterexample-platt"],
 ])

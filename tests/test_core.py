@@ -481,6 +481,8 @@ PER_ROW = {
     "population_platt": (cutoffcal.calibrate.population_platt, 3),
     "certify": (lambda t, y: cutoffcal.certify(
         t, y, lambda x, _: (lambda x: x), 4.0, 0.05), 2),
+    "certify_forecasts": (lambda t, y: cutoffcal.certify(t, y, None, 4.0,
+                                                         0.05), 2),
 }
 
 
