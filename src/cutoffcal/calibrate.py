@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (SeededRng, ValidationError, _check_number, _check_rows,
-                   _check_unit, _check_weights, grouped_from_arrays)
+                   _check_unit, _check_weights, _floats, grouped_from_arrays)
 from .metrics import concentration_radius, cutoff_error
 
 __all__ = [
@@ -302,9 +302,7 @@ def fit_modified_platt(forecasts, outcomes,
     t, y = _check_rows(forecasts, outcomes=outcomes)
     if epsilon_n is None:
         epsilon_n = default_epsilon(len(t))
-    _check_number("epsilon_n", epsilon_n)
-    if not epsilon_n > 0:
-        raise ValidationError("epsilon_n must be positive")
+    _check_number("epsilon_n", epsilon_n, "(0, inf]")
     platt = fit_platt(t, y)
     return _guard(platt, apply_map(platt, t), y, epsilon_n)[2]
 
@@ -351,12 +349,8 @@ def min_admissible_c(m: int, delta: float) -> float:
     fallback mean of the m rows misses E Y by more than c at 2 exp(-2 m
     c^2) <= 2*delta; the union bound leaves 1 - 3*delta.
     """
-    _check_number("m", m)
-    _check_number("delta", delta)
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
-    if not m >= 1:
-        raise ValidationError(f"need m >= 1 rows, got {m!r}")
+    _check_number("m", m, "[1, inf]")
+    _check_number("delta", delta, "(0, 1]")
     return math.sqrt(-math.log(delta) / (2.0 * m))
 
 
@@ -376,7 +370,7 @@ def certify(covariates, outcomes,
     a trainer.
     """
     x = np.asarray(covariates)
-    outcomes = np.asarray(outcomes, dtype=float)
+    outcomes = _floats("outcomes", outcomes)
     if outcomes.ndim != 1 or x.shape[:1] != outcomes.shape:
         raise ValidationError(
             f"need one covariate row per outcome, got covariates of shape "
@@ -385,9 +379,7 @@ def certify(covariates, outcomes,
     n = len(outcomes)
     if n < 4:
         raise ValidationError("need at least 4 samples")
-    _check_number("c", c)
-    if not math.isfinite(c):
-        raise ValidationError(f"c must be finite, got {c!r}")
+    _check_number("c", c, "(-inf, inf)")
     if trainer is None and split_seed is not None:
         raise ValidationError("split_seed needs a trainer: forecasts are "
                               "tested on every row, unsplit")
@@ -405,7 +397,7 @@ def certify(covariates, outcomes,
         k = -(-n // 2)  # train on ceil(n/2) rows, test on the rest
         model = trainer(x[idx[:k]], outcomes[idx[:k]])
         test_y = outcomes[idx[k:]]
-        forecasts = np.asarray(model(x[idx[k:]]), dtype=float)
+        forecasts = _floats("forecasts", model(x[idx[k:]]))
         if forecasts.shape != test_y.shape:
             name = getattr(model, "__qualname__", type(model).__name__)
             raise ValidationError(
@@ -421,8 +413,7 @@ def certify(covariates, outcomes,
 def apply_map(cal: CalibratorMap, forecasts) -> np.ndarray:
     """Map forecasts in [0, 1] element-wise; outputs lie in [0, 1], as the
     map was checked when it was built. A scalar forecast gives a float."""
-    z = np.asarray(forecasts, dtype=float)
-    _check_unit("forecasts", z)
+    z = _check_unit("forecasts", forecasts)
     if cal.kind == "constant":
         out = np.full_like(z, cal.constant_value)
     elif cal.kind == "platt":

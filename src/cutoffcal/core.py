@@ -1,10 +1,14 @@
-"""Data model and CSV ingestion shared by all metrics and calibrators.
+"""Data model, CSV ingestion and argument checks shared by all modules.
 
 Per-row data is float arrays: forecast, outcome and, when the file has
 the column, the conditional mean, every value in [0, 1]; `load_columns`
 returns them as a `Columns`. Pooling merges rows, or weighted atoms,
 with bitwise-equal forecasts, since an interval of forecast values
 either contains all copies of a value or none.
+
+Every argument check of the package is here, raising ValidationError:
+`_check_number` and `_check_int` for scalars, `_floats` for arrays of
+numbers, and `_check_unit`, `_check_rows` and `_check_weights` for rows.
 """
 
 from __future__ import annotations
@@ -34,11 +38,25 @@ class ValidationError(ValueError):
     """Malformed or out-of-range input data. CLI maps this to exit code 2."""
 
 
-def _check_unit(name: str, values) -> None:
-    """Raise ValidationError unless every value is in [0, 1] (NaN is not)."""
-    values = np.asarray(values)
+def _floats(name: str, values) -> np.ndarray:
+    """values as a float array; ValidationError unless they form a regular
+    array of numbers or bools (read as 0 and 1), not strings or objects."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be numbers")
+    return a.astype(float, copy=False)
+
+
+def _check_unit(name: str, values) -> np.ndarray:
+    """values as a float array (`_floats`); ValidationError unless every
+    value is in [0, 1] (NaN is not)."""
+    values = _floats(name, values)
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValidationError(f"{name} must be finite and in [0, 1]")
+    return values
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -49,20 +67,27 @@ def _check_int(name: str, value, low: int) -> None:
                               f"got {value!r}")
 
 
-def _check_number(name: str, value) -> None:
+def _check_number(name: str, value, interval: str = "") -> None:
     """Raise ValidationError unless value is one real (numpy) number, not a
-    bool or an array; NaN and infinities pass."""
+    bool, a string or an array, in interval if one is given, written as in
+    maths: "(0, 1]" or "[2, inf]". NaN lies in no interval."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be one number, got {value!r}")
+    if interval:
+        lo, hi = map(float, interval[1:-1].split(","))
+        if not ((lo < value if interval[0] == "(" else lo <= value)
+                and (value < hi if interval[-1] == ")" else value <= hi)):
+            raise ValidationError(f"{name} must be in {interval}, "
+                                  f"got {value!r}")
 
 
 def _check_rows(forecasts, **columns) -> list:
     """forecasts and the named per-row columns as float arrays;
-    ValidationError unless they are 1-D, equally long, non-empty and in
-    [0, 1]."""
-    arrays = [np.asarray(a, dtype=float)
-              for a in (forecasts, *columns.values())]
-    for name, a in zip(("forecasts", *columns), arrays):
+    ValidationError unless they are numbers, 1-D, equally long, non-empty
+    and in [0, 1]."""
+    names = ("forecasts", *columns)
+    arrays = list(map(_floats, names, (forecasts, *columns.values())))
+    for name, a in zip(names, arrays):
         if a.ndim != 1 or a.shape != arrays[0].shape:
             raise ValidationError(f"{name} must be 1-D and as long as forecasts")
         _check_unit(name, a)
@@ -74,7 +99,7 @@ def _check_rows(forecasts, **columns) -> list:
 def _check_weights(name: str, values, shape) -> np.ndarray:
     """values as a float array; ValidationError unless they are finite,
     non-negative, one per row of the given shape, with a sum in (0, inf)."""
-    w = np.asarray(values, dtype=float)
+    w = _floats(name, values)
     with np.errstate(over="ignore"):
         if (w.shape != shape or not np.all(np.isfinite(w)) or np.any(w < 0.0)
                 or not 0.0 < np.sum(w) < math.inf):
@@ -120,16 +145,15 @@ class GroupedDataset:
 
     def __init__(self, forecasts, residual_sums, counts, target_sums, n):
         (self.forecasts,) = _check_rows(forecasts)
-        self.residual_sums = np.asarray(residual_sums, dtype=float)
-        self.counts = np.asarray(counts, dtype=float)
-        self.target_sums = np.asarray(target_sums, dtype=float)
-        self.n = n
-        for a in (self.residual_sums, self.counts, self.target_sums):
+        sums = [_floats("group sums", a)
+                for a in (residual_sums, counts, target_sums)]
+        for a in sums:
             if a.shape != self.forecasts.shape or not np.all(np.isfinite(a)):
                 raise ValidationError("group sums must be finite, one per "
                                       "forecast")
-        if not 0 < n < math.inf:
-            raise ValidationError(f"total mass n ({n!r}) must be in (0, inf)")
+        self.residual_sums, self.counts, self.target_sums = sums
+        _check_number("n", n, "(0, inf)")
+        self.n = n
         if np.any(np.diff(self.forecasts) <= 0):
             raise ValidationError("group forecasts must be strictly increasing")
 
@@ -143,16 +167,12 @@ class GroupedDataset:
         (k, 3) array; forecasts and means must be in [0, 1]; masses are
         checked like the weights of `risks`.
         """
-        try:
-            table = np.array(atoms, dtype=float)
-        except (TypeError, ValueError):  # ragged or non-numeric
-            table = None
-        if table is None or table.ndim != 2 or table.shape[1] != 3:
+        table = _floats("atom triples", atoms)
+        if table.ndim != 2 or table.shape[1] != 3:
             raise ValidationError("atoms must be (forecast, conditional_mean, "
                                   "mass) triples")
         t, mu, w = table.T
-        w = _check_weights("masses", w, t.shape)
-        return _pool(t, mu, w, math.fsum(w.tolist()))
+        return _pool(t, mu, _check_weights("masses", w, t.shape))
 
 
 class Columns(NamedTuple):
@@ -257,8 +277,7 @@ def grouped_from_arrays(forecasts, targets) -> GroupedDataset:
     outcomes or the conditional means. All values must be finite and in
     [0, 1].
     """
-    t = np.asarray(forecasts, dtype=float)
-    return _pool(t, targets, None, int(t.size))
+    return _pool(forecasts, targets, None)
 
 
 def _order(*keys) -> np.ndarray:
@@ -284,16 +303,18 @@ def _order(*keys) -> np.ndarray:
     return order
 
 
-def _pool(t, targets, w, n) -> GroupedDataset:
+def _pool(t, targets, w) -> GroupedDataset:
     """The one pooling routine: per forecast, the sums of the masses, of
     mass * (target - t) and of mass * target. w holds one mass per atom,
-    or is None for rows of mass 1, whose counts are the group sizes.
+    or is None for rows of mass 1, whose counts are the group sizes; n is
+    the exact sum of the masses, or the row count.
     Rows are sorted by (forecast, target, mass) first and -0.0 is read as
     +0.0, so rows that tie on every key are bitwise equal and sums do not
     depend on input order; np.add.reduceat sums each group pairwise,
     keeping its error O(eps log n).
     """
     t, v = _check_rows(t, targets=targets)
+    n = t.size if w is None else math.fsum(w.tolist())
     order = _order(v, t) if w is None else _order(w, v, t)
     t, v = t[order], v[order]
     # -0.0 + 0.0 is +0.0 and other values are kept; the sorts already

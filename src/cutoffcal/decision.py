@@ -13,7 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ValidationError, _check_rows, _check_unit, _check_weights
+from .core import (ValidationError, _check_number, _check_rows, _check_unit,
+                   _check_weights, _floats)
 from .metrics import _prefix_sums
 
 __all__ = [
@@ -34,21 +35,15 @@ class DiscreteMixture:
     atoms: Tuple[Tuple[float, float], ...]  # (tau, weight)
 
     def __post_init__(self):
-        if not all(np.shape(atom) == (2,) for atom in self.atoms):
+        atoms = _floats("mixture (tau, weight) pairs", self.atoms)
+        if atoms.size and (atoms.ndim != 2 or atoms.shape[1] != 2):
             raise ValidationError("mixture atoms must be (tau, weight) pairs")
-        taus, weights = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        taus, weights = atoms.reshape(-1, 2).T
         _check_unit("mixture taus", taus)
         _check_weights("mixture weights", weights, taus.shape)
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
-
-
-def _check_prob(name: str, value) -> None:
-    """Raise ValidationError unless value is one number in [0, 1]."""
-    if np.ndim(value) != 0:
-        raise ValidationError(f"{name} must be one number in [0, 1]")
-    _check_unit(name, value)
 
 
 def _normalised_weights(weights, shape) -> np.ndarray:
@@ -64,7 +59,7 @@ def loss_bd(y, yhat, tau: float):
     """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
     miss. y and yhat are scalars or arrays; ValidationError unless tau is
     one number in [0, 1], every y is in [0, 1] and every yhat is 0 or 1."""
-    _check_prob(f"tau ({tau!r})", tau)
+    _check_number("tau", tau, "[0, 1]")
     _check_unit("y", y)
     if not np.all(np.isin(yhat, (0, 1))):
         raise ValidationError("yhat must be 0 or 1")
@@ -96,10 +91,10 @@ def risks(forecasts, means, tau: float,
     dropped when min t = 0. The exact minimum lies between Bayes and
     plug-in and is clamped there.
     """
-    _check_prob(f"tau ({tau!r})", tau)
+    _check_number("tau", tau, "[0, 1]")
     t, mu = _check_rows(forecasts, means=means)
     w = _normalised_weights(weights, t.shape)
-    act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
+    act, skip = tau * (1.0 - mu), (1.0 - tau) * mu
     plug_in = float(np.sum(w * np.where(t >= tau, act, skip)))
     bayes = float(np.sum(w * np.minimum(act, skip)))
     order = np.argsort(t, kind="stable")
@@ -119,7 +114,7 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     wrong side of ystar. ystar must be one number in [0, 1], forecasts
     and outcomes non-empty 1-D arrays of equal length with values in
     [0, 1]."""
-    _check_prob(f"ystar ({ystar!r})", ystar)
+    _check_number("ystar", ystar, "[0, 1]")
     t, y = _check_rows(forecasts, outcomes=outcomes)
     w = _normalised_weights(weights, t.shape)
     over = (y - ystar) * (t <= ystar) * (y > ystar)
@@ -130,7 +125,8 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
 def schervish_loss(mixture: DiscreteMixture, y: float, p: float) -> float:
     """Proper scoring rule assembled as a mixture of threshold losses;
     ValidationError unless y and p are each one number in [0, 1]."""
-    _check_prob(f"y ({y!r})", y)
-    _check_prob(f"p ({p!r})", p)
-    return math.fsum(weight * loss_bd(y, int(p >= tau), tau)
+    _check_number("y", y, "[0, 1]")
+    _check_number("p", p, "[0, 1]")
+    # the mixture read a bool tau as a number; loss_bd refuses a bool
+    return math.fsum(weight * loss_bd(y, int(p >= tau), float(tau))
                      for tau, weight in mixture.atoms)

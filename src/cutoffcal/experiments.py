@@ -16,8 +16,8 @@ import numpy as np
 
 from .calibrate import PlattDivergence, _logistic_fit, _sigmoid, population_platt
 from .core import (GroupedDataset, SeededRng, ValidationError, _check_int,
-                   grouped_from_arrays)
-from .decision import _check_prob, risks
+                   _check_number, grouped_from_arrays)
+from .decision import risks
 from .metrics import cutoff_error, lipschitz_wce, oracle_ece
 
 __all__ = [
@@ -42,7 +42,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("runs", "n_train", "n_eval"):
             _check_int(name, getattr(self, name), 1)
-        _check_prob(f"tau ({self.tau!r})", self.tau)
+        _check_number("tau", self.tau, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def make_separation_example(b: float) -> List[Tuple[float, float, float]]:
     masses are 1/2 each. Exact values: ECE = 0.5(1+b) and the L1 distance
     to the nearest calibrated forecast is 0.5 b.
     """
-    if not (0.0 < b <= 1.0):
-        raise ValidationError(f"b must be in (0, 1], got {b!r}")
+    _check_number("b", b, "(0, 1]")
     return [(0.5 * (1.0 - b), 1.0, 0.5), (0.5 * (1.0 + b), 0.0, 0.5)]
 
 
@@ -148,8 +147,7 @@ def make_perturbed_constant(epsilon: float) -> List[Tuple[float, float, float]]:
     atoms (0.75-eps, mean 1, mass 0.75) and (0.75+eps, mean 0, mass 0.25).
     Exact ECE = 3/8 + eps while the Lipschitz weighted error is <= 2*eps.
     """
-    if not (0.0 < epsilon < 0.25):
-        raise ValidationError(f"epsilon must be in (0, 0.25), got {epsilon!r}")
+    _check_number("epsilon", epsilon, "(0, 0.25)")
     return [(0.75 - epsilon, 1.0, 0.75), (0.75 + epsilon, 0.0, 0.25)]
 
 

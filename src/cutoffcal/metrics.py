@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import GroupedDataset, ValidationError, _check_int, _check_number
+from .core import GroupedDataset, _check_int, _check_number
 
 __all__ = [
     "CutoffEstimate",
@@ -32,12 +32,8 @@ __all__ = [
 
 def concentration_radius(n: float, delta: float) -> float:
     """High-probability deviation radius of the plug-in interval estimator."""
-    _check_number("n", n)
-    _check_number("delta", delta)
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
-    if not 0.0 < n < math.inf:
-        raise ValidationError(f"n must be finite and > 0, got {n!r}")
+    _check_number("n", n, "(0, inf)")
+    _check_number("delta", delta, "(0, 1]")
     # -log(delta), not log(1/delta): 1/delta overflows below about 5.6e-309
     return (20.0 + math.sqrt(2.0 * -math.log(delta))) / math.sqrt(n)
 
@@ -251,9 +247,7 @@ def bv_wce(data: GroupedDataset, total_variation: float) -> float:
     bitwise. B = 2 ceil(M/2), capped at the TV of sign(r) (at least 2),
     where phi reaches sum |r|; the cost is O(m B).
     """
-    if not total_variation >= 2.0:
-        raise ValidationError(
-            f"total_variation must be >= 2, got {total_variation!r}")
+    _check_number("total_variation", total_variation, "[2, inf]")
     signs = np.sign(data.residual_sums[data.residual_sums != 0.0])
     top = max(2, 2 * int(np.count_nonzero(signs[1:] != signs[:-1])))
     B = (top if total_variation >= top
@@ -278,8 +272,7 @@ def bv_wce(data: GroupedDataset, total_variation: float) -> float:
 def effective_support_size(data: GroupedDataset, gamma: float) -> int:
     """Smallest k with the k heaviest forecast atoms covering mass 1-gamma,
     for gamma in [0, 1)."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError(f"gamma must be in [0, 1), got {gamma!r}")
+    _check_number("gamma", gamma, "[0, 1)")
     masses = np.sort(data.counts)[::-1]
     target = (1.0 - gamma - 1e-12) * data.n
     cum = np.cumsum(masses)

@@ -218,7 +218,7 @@ def test_decide_bad_threshold_exit_2(args, oracle_csv, capsys):
     assert main(["decide", str(oracle_csv)] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite and in [0, 1]" in captured.err
+    assert f"{args[-2][2:]} must be in [0, 1]" in captured.err
 
 
 def test_decide_empty_input_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import threading
 from fractions import Fraction
 
@@ -486,12 +487,111 @@ PER_ROW = {
 }
 
 
+ROWS = [[0.1, 0.3, 0.3, 0.6, 0.8, 0.9], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+        [1.0, 2.0, 0.5, 1.0, 1.0, 3.0]]
+
+
 @pytest.mark.parametrize("name", PER_ROW)
 def test_per_row_functions_take_sequences_or_arrays(name):
     fn, k = PER_ROW[name]
-    rows = [[0.1, 0.3, 0.3, 0.6, 0.8, 0.9], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
-            [1.0, 2.0, 0.5, 1.0, 1.0, 3.0]][:k]
+    rows = ROWS[:k]
     assert _bits(fn(*rows)) == _bits(fn(*map(np.array, rows)))
     for i in range(1, k):
         with pytest.raises(ValidationError):
             fn(*rows[:i], rows[i][:-1], *rows[i + 1:])
+
+
+@pytest.mark.parametrize("name", PER_ROW)
+def test_per_row_functions_read_bools_as_zero_and_one(name):
+    fn, k = PER_ROW[name]
+    rows = ROWS[:k]
+    outcomes = [bool(v) for v in rows[1]]
+    assert _bits(fn(rows[0], outcomes, *rows[2:])) == _bits(fn(*rows))
+
+
+@pytest.mark.parametrize("bad", ["a", "0.5", {"p": 0.5}, None],
+                         ids=["string", "numeric string", "dict", "None"])
+@pytest.mark.parametrize("name", PER_ROW)
+def test_per_row_functions_refuse_what_is_not_a_number(name, bad):
+    # the last row is held out, so certify's model returns the bad entry
+    fn, k = PER_ROW[name]
+    for i in range(k):
+        column = ROWS[i][:-1] + [bad]
+        with pytest.raises(ValidationError, match="must be numbers"):
+            fn(*ROWS[:i], column, *ROWS[i + 1:k])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: cutoffcal.apply_map(
+        cutoffcal.CalibratorMap("constant", constant_value=0.5), "0.5"),
+     "forecasts"),
+    (lambda: cutoffcal.DiscreteMixture((("0.5", 1.0),)),
+     "mixture (tau, weight) pairs"),
+    (lambda: cutoffcal.DiscreteMixture(((0.5, [0.5, 0.5]),)),
+     "mixture (tau, weight) pairs"),
+    (lambda: GroupedDataset(["a"], [0.0], [1.0], [0.0], 1), "forecasts"),
+    (lambda: GroupedDataset([0.5], [0.0], ["1"], [0.0], 1), "group sums"),
+    (lambda: GroupedDataset.from_atoms([("a", 0.5, 1.0)]), "atom triples"),
+    (lambda: cutoffcal.loss_bd(["0.5"], 1, 0.5), "y"),
+], ids=["apply_map", "DiscreteMixture", "DiscreteMixture nested",
+        "GroupedDataset forecasts", "GroupedDataset sums", "from_atoms",
+        "loss_bd y"])
+def test_arrays_of_non_numbers_raise(call, name):
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(name)} must be numbers$"):
+        call()
+
+
+_DATA = grouped_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
+_MIXTURE = cutoffcal.DiscreteMixture(((0.5, 1.0),))
+
+# every scalar argument checked against an interval: a call that passes
+# the value as that argument, its name, and a value outside the interval
+SCALARS = {
+    "concentration_radius n": (
+        lambda v: cutoffcal.concentration_radius(v, 0.05), "n", math.inf),
+    "concentration_radius delta": (
+        lambda v: cutoffcal.concentration_radius(100, v), "delta", 0.0),
+    "min_admissible_c m": (
+        lambda v: cutoffcal.min_admissible_c(v, 0.05), "m", 0.5),
+    "min_admissible_c delta": (
+        lambda v: cutoffcal.min_admissible_c(100, v), "delta", 1.5),
+    "certify c": (lambda v: cutoffcal.certify([0.5] * 100, [0, 1] * 50,
+                                              None, v, 0.05), "c", math.inf),
+    "fit_modified_platt epsilon_n": (
+        lambda v: cutoffcal.fit_modified_platt([0.2, 0.4, 0.6, 0.8],
+                                               [0, 1, 0, 1], v),
+        "epsilon_n", 0.0),
+    "bv_wce total_variation": (
+        lambda v: cutoffcal.bv_wce(_DATA, v), "total_variation", 1.5),
+    "effective_support_size gamma": (
+        lambda v: cutoffcal.effective_support_size(_DATA, v), "gamma", 1.0),
+    "make_separation_example b": (
+        cutoffcal.make_separation_example, "b", 0.0),
+    "make_perturbed_constant epsilon": (
+        cutoffcal.make_perturbed_constant, "epsilon", 0.25),
+    "GroupedDataset n": (
+        lambda v: GroupedDataset([0.5], [0.0], [1.0], [0.5], v), "n", 0),
+    "loss_bd tau": (lambda v: cutoffcal.loss_bd(0.5, 1, v), "tau", 1.5),
+    "risks tau": (
+        lambda v: cutoffcal.risks([0.2, 0.8], [0.3, 0.6], v), "tau", -0.1),
+    "SimulationConfig tau": (
+        lambda v: cutoffcal.SimulationConfig(tau=v), "tau", 1.5),
+    "risk_st ystar": (
+        lambda v: cutoffcal.risk_st([0.2, 0.8], [0.0, 1.0], v), "ystar", 2.0),
+    "schervish_loss y": (
+        lambda v: cutoffcal.schervish_loss(_MIXTURE, v, 0.5), "y", 1.5),
+    "schervish_loss p": (
+        lambda v: cutoffcal.schervish_loss(_MIXTURE, 1.0, v), "p", -0.5),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "string", "array", "nan",
+                                 "out of range"])
+@pytest.mark.parametrize("argument", SCALARS)
+def test_scalar_arguments_are_one_number_in_their_interval(argument, bad):
+    call, name, outside = SCALARS[argument]
+    value = {"bool": True, "string": "0.5", "array": np.array([0.5, 0.5]),
+             "nan": math.nan, "out of range": outside}[bad]
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        call(value)

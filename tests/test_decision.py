@@ -14,6 +14,7 @@ from cutoffcal import (GroupedDataset, ValidationError,
                        DiscreteMixture, cutoff_error, loss_bd,
                        make_perturbed_constant, risk_st, risks,
                        schervish_loss)
+from cutoffcal.metrics import _prefix_sums
 
 
 def test_loss_bd_corners():
@@ -125,6 +126,36 @@ def test_gaps_nonnegative_exactly_on_tied_grids(rows, tau):
     assert min(risk - bayes, risk - monotone) >= 0.0
 
 
+def loss_bd_risks(t, mu, tau, w):
+    """The three risks of `risks` with every cost priced by loss_bd; w is
+    normalised."""
+    act, skip = loss_bd(mu, 1, tau), loss_bd(mu, 0, tau)
+    plug_in = float(np.sum(w * loss_bd(mu, (t >= tau).astype(int), tau)))
+    bayes = float(np.sum(w * np.minimum(act, skip)))
+    order = np.argsort(t, kind="stable")
+    s = t[order]
+    prefix = _prefix_sums((w * (mu - tau))[order])
+    k = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    ge = k[:-1] if s[-1] == 1.0 else k
+    le = k[1:] if s[0] == 0.0 else k
+    best = _prefix_sums(w * act)[-1] + min(prefix[ge].min(),
+                                           prefix[-1] - prefix[le].max())
+    return plug_in, bayes, min(max(float(best), bayes), plug_in)
+
+
+unit = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0])
+
+
+@given(st.lists(st.tuples(unit, unit, st.floats(1e-3, 1e3)), min_size=1,
+                max_size=40), unit)
+@settings(max_examples=500, deadline=None)
+def test_risks_equal_loss_bd_pricing_bitwise(rows, tau):
+    t, mu, w = map(np.array, zip(*rows))
+    expected = loss_bd_risks(t, mu, tau, w / np.sum(w))
+    assert list(map(float.hex, risks(t, mu, tau, weights=w))) == \
+        list(map(float.hex, expected))
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_risks_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product of 3e5 rows by thread, and each split
@@ -199,6 +230,12 @@ def test_schervish_mixture_direct_sum():
             direct = 0.5 * loss_bd(y, int(p >= 0.25), 0.25) \
                 + 0.5 * loss_bd(y, int(p >= 0.75), 0.75)
             assert schervish_loss(mix, y, p) == pytest.approx(direct, abs=1e-15)
+
+
+def test_schervish_reads_mixture_entries_as_numbers():
+    # a mixture's atoms are an array: bools count as 0 and 1, as in rows
+    assert schervish_loss(DiscreteMixture(((True, 1),)), 0.25, 0.5) == \
+        schervish_loss(DiscreteMixture(((1.0, 1.0),)), 0.25, 0.5) == 0.0
 
 
 def test_schervish_truthful_reporting_not_worse():
