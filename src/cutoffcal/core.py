@@ -69,10 +69,16 @@ def _check_int(name: str, value, low: int) -> None:
 
 def _check_number(name: str, value, interval: str = "") -> None:
     """Raise ValidationError unless value is one real (numpy) number, not a
-    bool, a string or an array, in interval if one is given, written as in
-    maths: "(0, 1]" or "[2, inf]". NaN lies in no interval."""
+    bool, a string, an array or an int too large for a float, in interval
+    if one is given, written as in maths: "(0, 1]" or "[2, inf]". NaN lies
+    in no interval."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be one number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # its repr may be too long to print
+        raise ValidationError(f"{name} must be a number that a float can "
+                              "hold") from None
     if interval:
         lo, hi = map(float, interval[1:-1].split(","))
         if not ((lo < value if interval[0] == "(" else lo <= value)
@@ -277,58 +283,78 @@ def grouped_from_arrays(forecasts, targets) -> GroupedDataset:
     outcomes or the conditional means. All values must be finite and in
     [0, 1].
     """
-    return _pool(forecasts, targets, None)
+    return _pool(forecasts, targets)
 
 
-def _order(*keys) -> np.ndarray:
-    """The permutation that sorts rows by keys[-1], then keys[-2], and so
-    on to keys[0]; rows that tie on every key come in no set order.
+def _sorted_new(key) -> tuple:
+    """(argsort of key, key in that order + 0.0, the mask of rows whose
+    value differs from the previous row's). The sort is numpy's default,
+    unstable one; -0.0 and +0.0 sort as equal and both read as +0.0."""
+    order = np.argsort(key)
+    ordered = key[order]
+    ordered += 0.0
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return order, ordered, new
 
-    keys[0] is argsorted. Each later key then sorts the int64 key
-    d * n + p, with d its dense rank (np.unique) and p a row's current
-    position, so rows move to the order of d and ties keep their order.
-    All sorts are numpy's default, unstable ones. With m distinct values,
-    d * n + p < m * n <= n**2 < 2**63, which holds for n < 3 * 10**9 rows.
+
+def _refine(order, *ranks) -> np.ndarray:
+    """order, re-sorted by ranks[0], then ranks[1], and so on, each the
+    dense rank of a more significant key than the last; rows that tie on a
+    rank keep their order in the one before. Each rank sorts the int64 key
+    d * n + p, with d the rank and p a row's current position, by numpy's
+    default sort. With m distinct values, d * n + p < m * n <= n**2 <
+    2**63, which holds for n < 3 * 10**9 rows.
     """
-    order = np.argsort(keys[0])
     n = np.int64(order.size)
     position = np.arange(n)
-    for key in keys[1:]:
-        dense = np.unique(key, return_inverse=True)[1]
-        refined = dense.astype(np.int64, copy=False)[order] * n
-        refined += position
-        refined.sort()
-        refined %= n
-        order = order[refined]
+    for rank in ranks:
+        key = rank[order] * n
+        key += position
+        key.sort()
+        key %= n
+        order = order[key]
     return order
 
 
-def _pool(t, targets, w) -> GroupedDataset:
+def _pool(t, targets, w=None) -> GroupedDataset:
     """The one pooling routine: per forecast, the sums of the masses, of
     mass * (target - t) and of mass * target. w holds one mass per atom,
     or is None for rows of mass 1, whose counts are the group sizes; n is
     the exact sum of the masses, or the row count.
-    Rows are sorted by (forecast, target, mass) first and -0.0 is read as
-    +0.0, so rows that tie on every key are bitwise equal and sums do not
-    depend on input order; np.add.reduceat sums each group pairwise,
-    keeping its error O(eps log n).
+
+    Each group is summed in (target, mass) order, with -0.0 read as +0.0,
+    so rows that tie on every key are bitwise equal and sums do not depend
+    on input order; np.add.reduceat sums each group pairwise, keeping its
+    error O(eps log n). One argsort of t gives the groups, and the targets
+    are gathered in its order, which is final when the forecasts are
+    distinct. Rows then sort each multi-row group's slice of the targets
+    in place. Atoms, with two keys inside a group, refine one argsort of
+    the masses by the targets' rank and then the group index (`_refine`).
     """
     t, v = _check_rows(t, targets=targets)
     n = t.size if w is None else math.fsum(w.tolist())
-    order = _order(v, t) if w is None else _order(w, v, t)
-    t, v = t[order], v[order]
-    # -0.0 + 0.0 is +0.0 and other values are kept; the sorts already
-    # took -0.0 and +0.0 as equal
-    t += 0.0
-    v += 0.0
-    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    residuals = v - t
+    order, t, new = _sorted_new(t)
+    start = np.flatnonzero(new)
+    v = v[order]
     if w is None:
         counts = np.diff(start, append=t.size)
+        multi = counts > 1
+        for s, e in zip(start[multi].tolist(),
+                        (start + counts)[multi].tolist()):
+            v[s:e].sort()
+        v += 0.0
+        residuals = v - t
     else:
-        w = w[order] + 0.0
+        w = w[order]
+        v_order, _, v_new = _sorted_new(v)
+        v_rank = np.empty(v.size, dtype=np.int64)
+        v_rank[v_order] = np.cumsum(v_new) - 1
+        final = _refine(np.argsort(w), v_rank, np.cumsum(new) - 1)
+        w, v = w[final] + 0.0, v[final] + 0.0
         counts = np.add.reduceat(w, start)
-        residuals *= w
+        residuals = (v - t) * w
         v *= w
     return GroupedDataset(t[start], np.add.reduceat(residuals, start), counts,
                           np.add.reduceat(v, start), n=n)

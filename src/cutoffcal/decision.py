@@ -57,13 +57,20 @@ def _normalised_weights(weights, shape) -> np.ndarray:
 
 def loss_bd(y, yhat, tau: float):
     """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
-    miss. y and yhat are scalars or arrays; ValidationError unless tau is
-    one number in [0, 1], every y is in [0, 1] and every yhat is 0 or 1."""
+    miss. y and yhat are scalars or array-likes; scalars give a float.
+    ValidationError unless tau is one number in [0, 1], every y is in
+    [0, 1], every yhat is 0 or 1 and the two shapes broadcast together."""
     _check_number("tau", tau, "[0, 1]")
-    _check_unit("y", y)
+    y, yhat = _check_unit("y", y), _floats("yhat", yhat)
     if not np.all(np.isin(yhat, (0, 1))):
         raise ValidationError("yhat must be 0 or 1")
-    return tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
+    try:
+        np.broadcast_shapes(y.shape, yhat.shape)
+    except ValueError:
+        raise ValidationError(f"yhat of shape {yhat.shape} does not broadcast "
+                              f"against y of shape {y.shape}") from None
+    loss = tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def risks(forecasts, means, tau: float,

@@ -229,6 +229,48 @@ def test_pooling_large_ties_permutation_invariant():
         assert same_bits(data, reference_pool(t, v))
 
 
+def pooling_inputs():
+    """name -> forecasts: tied groups large and small, ties everywhere,
+    no ties at all, and signed zeros."""
+    rng = np.random.default_rng(29)
+    distinct = np.sort(rng.random(3000))
+    return {
+        "101-value grid": rng.integers(0, 101, size=20_000) / 100.0,
+        "groups of 2": rng.permutation(np.repeat(rng.random(2000), 2)),
+        "all equal": np.full(3000, 0.3),
+        "distinct presorted": distinct,
+        "distinct reverse-sorted": distinct[::-1].copy(),
+        "signed zeros": rng.choice([-0.0, 0.0, 0.5, 1.0], size=3000),
+    }
+
+
+def pooling_targets(n, seed=30):
+    """Bernoulli outcomes and conditional means with signed zeros and
+    ties, n of each."""
+    rng = np.random.default_rng(seed)
+    means = rng.choice([-0.0, 0.0, 0.25, 1.0, *rng.random(50)], size=n)
+    return (rng.random(n) < 0.5).astype(float), means
+
+
+@pytest.mark.parametrize("name", list(pooling_inputs()))
+def test_each_pooling_input_matches_lexsort_reference(name):
+    t = pooling_inputs()[name]
+    perm = np.random.default_rng(32).permutation(t.size)
+    for v in pooling_targets(t.size):
+        data = grouped_from_arrays(t, v)
+        assert same_bits(data, reference_pool(t, v))
+        assert same_bits(data, grouped_from_arrays(t[perm], v[perm]))
+
+
+@pytest.mark.parametrize("name", list(pooling_inputs()))
+def test_pooling_atoms_matches_lexsort_reference(name):
+    t = pooling_inputs()[name]
+    mu = pooling_targets(t.size)[1]
+    w = np.random.default_rng(31).choice([-0.0, 0.5, 1.0, 3.0], size=t.size)
+    assert same_bits(GroupedDataset.from_atoms(np.column_stack((t, mu, w))),
+                     reference_pool(t, mu, w))
+
+
 def line_parser(text):
     r"""The line-by-line reference the vectorised loader falls back to, on
     lines that end at \n, \r\n or \r."""
@@ -587,11 +629,12 @@ SCALARS = {
 
 
 @pytest.mark.parametrize("bad", ["bool", "string", "array", "nan",
-                                 "out of range"])
+                                 "out of range", "too large for a float"])
 @pytest.mark.parametrize("argument", SCALARS)
 def test_scalar_arguments_are_one_number_in_their_interval(argument, bad):
     call, name, outside = SCALARS[argument]
     value = {"bool": True, "string": "0.5", "array": np.array([0.5, 0.5]),
-             "nan": math.nan, "out of range": outside}[bad]
+             "nan": math.nan, "out of range": outside,
+             "too large for a float": 10 ** 400}[bad]
     with pytest.raises(ValidationError, match=f"^{name} must be "):
         call(value)

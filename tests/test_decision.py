@@ -26,6 +26,17 @@ def test_loss_bd_corners():
     assert loss_bd(0.5, 0, 0.4) == pytest.approx(0.6 * 0.5)
 
 
+def test_loss_bd_takes_sequences_and_gives_floats_for_scalars():
+    assert loss_bd([0.2, 0.5], 1, 0.5).tolist() == [0.4, 0.25]
+    assert loss_bd(0.2, [0, 1], 0.5).tolist() == [0.1, 0.4]
+    assert loss_bd([[0.2], [1.0]], (0, 1), 0.3).tolist() == \
+        loss_bd(np.array([[0.2], [1.0]]), np.array([0, 1]), 0.3).tolist()
+    assert type(loss_bd(0.5, 1, 0.4)) is float
+    assert type(loss_bd(np.float64(0.5), np.int64(0), 0.4)) is float
+    with pytest.raises(ValidationError, match="^yhat of shape"):
+        loss_bd([0.2, 0.5], [1, 0, 1], 0.5)
+
+
 @pytest.mark.parametrize("y, yhat, tau, match", [
     (math.nan, 1, 0.5, "^y must"),
     (2.0, 1, 0.5, "^y must"),
