@@ -93,8 +93,10 @@ def _check_rows(forecasts, **columns) -> list:
     and in [0, 1]."""
     names = ("forecasts", *columns)
     arrays = list(map(_floats, names, (forecasts, *columns.values())))
+    if arrays[0].ndim != 1:
+        raise ValidationError("forecasts must be 1-D")
     for name, a in zip(names, arrays):
-        if a.ndim != 1 or a.shape != arrays[0].shape:
+        if a.shape != arrays[0].shape:
             raise ValidationError(f"{name} must be 1-D and as long as forecasts")
         _check_unit(name, a)
     if arrays[0].size == 0:
@@ -286,38 +288,6 @@ def grouped_from_arrays(forecasts, targets) -> GroupedDataset:
     return _pool(forecasts, targets)
 
 
-def _sorted_new(key) -> tuple:
-    """(argsort of key, key in that order + 0.0, the mask of rows whose
-    value differs from the previous row's). The sort is numpy's default,
-    unstable one; -0.0 and +0.0 sort as equal and both read as +0.0."""
-    order = np.argsort(key)
-    ordered = key[order]
-    ordered += 0.0
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return order, ordered, new
-
-
-def _refine(order, *ranks) -> np.ndarray:
-    """order, re-sorted by ranks[0], then ranks[1], and so on, each the
-    dense rank of a more significant key than the last; rows that tie on a
-    rank keep their order in the one before. Each rank sorts the int64 key
-    d * n + p, with d the rank and p a row's current position, by numpy's
-    default sort. With m distinct values, d * n + p < m * n <= n**2 <
-    2**63, which holds for n < 3 * 10**9 rows.
-    """
-    n = np.int64(order.size)
-    position = np.arange(n)
-    for rank in ranks:
-        key = rank[order] * n
-        key += position
-        key.sort()
-        key %= n
-        order = order[key]
-    return order
-
-
 def _pool(t, targets, w=None) -> GroupedDataset:
     """The one pooling routine: per forecast, the sums of the masses, of
     mass * (target - t) and of mass * target. w holds one mass per atom,
@@ -327,32 +297,27 @@ def _pool(t, targets, w=None) -> GroupedDataset:
     Each group is summed in (target, mass) order, with -0.0 read as +0.0,
     so rows that tie on every key are bitwise equal and sums do not depend
     on input order; np.add.reduceat sums each group pairwise, keeping its
-    error O(eps log n). One argsort of t gives the groups, and the targets
-    are gathered in its order, which is final when the forecasts are
-    distinct. Rows then sort each multi-row group's slice of the targets
-    in place. Atoms, with two keys inside a group, refine one argsort of
-    the masses by the targets' rank and then the group index (`_refine`).
+    error O(eps log n). Rows take one argsort of t, which gives the groups;
+    the targets are gathered in its order, which is final when the
+    forecasts are distinct, and each multi-row group's slice of them is
+    then sorted in place. Atoms take np.lexsort((w, targets, t)).
     """
     t, v = _check_rows(t, targets=targets)
     n = t.size if w is None else math.fsum(w.tolist())
-    order, t, new = _sorted_new(t)
-    start = np.flatnonzero(new)
-    v = v[order]
+    order = np.argsort(t) if w is None else np.lexsort((w, v, t))
+    t, v = t[order], v[order]
+    t += 0.0
+    v += 0.0
+    start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
     if w is None:
         counts = np.diff(start, append=t.size)
         multi = counts > 1
         for s, e in zip(start[multi].tolist(),
                         (start + counts)[multi].tolist()):
             v[s:e].sort()
-        v += 0.0
         residuals = v - t
     else:
-        w = w[order]
-        v_order, _, v_new = _sorted_new(v)
-        v_rank = np.empty(v.size, dtype=np.int64)
-        v_rank[v_order] = np.cumsum(v_new) - 1
-        final = _refine(np.argsort(w), v_rank, np.cumsum(new) - 1)
-        w, v = w[final] + 0.0, v[final] + 0.0
+        w = w[order] + 0.0
         counts = np.add.reduceat(w, start)
         residuals = (v - t) * w
         v *= w

@@ -267,8 +267,24 @@ def test_pooling_atoms_matches_lexsort_reference(name):
     t = pooling_inputs()[name]
     mu = pooling_targets(t.size)[1]
     w = np.random.default_rng(31).choice([-0.0, 0.5, 1.0, 3.0], size=t.size)
-    assert same_bits(GroupedDataset.from_atoms(np.column_stack((t, mu, w))),
-                     reference_pool(t, mu, w))
+    table = np.column_stack((t, mu, w))
+    data = GroupedDataset.from_atoms(table)
+    assert same_bits(data, reference_pool(t, mu, w))
+    perm = np.random.default_rng(32).permutation(t.size)
+    assert same_bits(data, GroupedDataset.from_atoms(table[perm]))
+
+
+@pytest.mark.parametrize("name", list(pooling_inputs()))
+def test_pooling_leaves_inputs_unchanged(name):
+    t = pooling_inputs()[name]
+    mu = pooling_targets(t.size)[1]
+    w = np.random.default_rng(31).choice([-0.0, 0.5, 1.0, 3.0], size=t.size)
+    table = np.column_stack((t, mu, w))
+    inputs = (t, mu, table)
+    before = [a.tobytes() for a in inputs]
+    grouped_from_arrays(t, mu)
+    GroupedDataset.from_atoms(table)
+    assert [a.tobytes() for a in inputs] == before
 
 
 def line_parser(text):
@@ -430,6 +446,8 @@ def test_pooling_rejects_bad_values(bad, where):
 def test_pooling_rejects_length_mismatch():
     with pytest.raises(ValidationError, match="targets"):
         grouped_from_arrays([0.2, 0.5], [0.1])
+    with pytest.raises(ValidationError, match="^forecasts must be 1-D$"):
+        grouped_from_arrays([[0.2, 0.5], [0.1, 0.3]], [0.1, 0.3])
 
 
 @pytest.mark.parametrize("args", [(-1,), (2.5,), (0, -1), (True,), ("1",)])
