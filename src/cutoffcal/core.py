@@ -59,12 +59,15 @@ def _check_unit(name: str, values) -> np.ndarray:
     return values
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Raise ValidationError unless value is a (numpy) integer >= low."""
+def _check_int(name: str, value, low: int, high=math.inf) -> None:
+    """Raise ValidationError unless value is a (numpy) integer >= low and
+    <= high, a bound such as the largest float or array length."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low):
         raise ValidationError(f"{name} must be an integer >= {low}, "
                               f"got {value!r}")
+    if value > high:  # its repr may be too long to print
+        raise ValidationError(f"{name} must be at most {high}")
 
 
 def _check_number(name: str, value, interval: str = "") -> None:

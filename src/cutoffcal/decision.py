@@ -1,4 +1,5 @@
-"""Cost-sensitive binary decision losses, plug-in risks, and risk gaps.
+"""Plug-in, Bayes and best-monotone risks of cost-sensitive binary
+decisions, and the sign-testing risk.
 
 Evaluation follows the oracle plug-in convention: conditional means stand
 in for outcomes, so risks are exact functionals of the evaluation atoms
@@ -7,43 +8,14 @@ rather than Monte Carlo draws.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import (ValidationError, _check_number, _check_rows, _check_unit,
-                   _check_weights, _floats)
+from .core import _check_number, _check_rows, _check_weights
 from .metrics import _prefix_sums
 
-__all__ = [
-    "DiscreteMixture",
-    "loss_bd",
-    "risks",
-    "risk_st",
-    "schervish_loss",
-]
-
-
-@dataclass(frozen=True)
-class DiscreteMixture:
-    """Finite mixture over decision thresholds. Raises ValidationError
-    unless atoms form a (k, 2) array, every tau is in [0, 1] and the
-    weights are finite, non-negative and sum to 1 within 1e-12."""
-
-    atoms: Tuple[Tuple[float, float], ...]  # (tau, weight)
-
-    def __post_init__(self):
-        atoms = _floats("mixture (tau, weight) pairs", self.atoms)
-        if atoms.size and (atoms.ndim != 2 or atoms.shape[1] != 2):
-            raise ValidationError("mixture atoms must be (tau, weight) pairs")
-        taus, weights = atoms.reshape(-1, 2).T
-        _check_unit("mixture taus", taus)
-        _check_weights("mixture weights", weights, taus.shape)
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"mixture weights sum to {total}, expected 1")
+__all__ = ["risks", "risk_st"]
 
 
 def _normalised_weights(weights, shape) -> np.ndarray:
@@ -53,24 +25,6 @@ def _normalised_weights(weights, shape) -> np.ndarray:
         return np.full(shape, 1.0 / shape[0])
     w = _check_weights("weights", weights, shape)
     return w / np.sum(w)
-
-
-def loss_bd(y, yhat, tau: float):
-    """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
-    miss. y and yhat are scalars or array-likes; scalars give a float.
-    ValidationError unless tau is one number in [0, 1], every y is in
-    [0, 1], every yhat is 0 or 1 and the two shapes broadcast together."""
-    _check_number("tau", tau, "[0, 1]")
-    y, yhat = _check_unit("y", y), _floats("yhat", yhat)
-    if not np.all(np.isin(yhat, (0, 1))):
-        raise ValidationError("yhat must be 0 or 1")
-    try:
-        np.broadcast_shapes(y.shape, yhat.shape)
-    except ValueError:
-        raise ValidationError(f"yhat of shape {yhat.shape} does not broadcast "
-                              f"against y of shape {y.shape}") from None
-    loss = tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
-    return float(loss) if loss.ndim == 0 else loss
 
 
 def risks(forecasts, means, tau: float,
@@ -128,12 +82,3 @@ def risk_st(forecasts, outcomes, ystar: float, weights=None) -> float:
     under = (ystar - y) * (t > ystar) * (y <= ystar)
     return float(np.sum(w * (over + under)))
 
-
-def schervish_loss(mixture: DiscreteMixture, y: float, p: float) -> float:
-    """Proper scoring rule assembled as a mixture of threshold losses;
-    ValidationError unless y and p are each one number in [0, 1]."""
-    _check_number("y", y, "[0, 1]")
-    _check_number("p", p, "[0, 1]")
-    # the mixture read a bool tau as a number; loss_bd refuses a bool
-    return math.fsum(weight * loss_bd(y, int(p >= tau), float(tau))
-                     for tau, weight in mixture.atoms)

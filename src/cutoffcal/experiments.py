@@ -1,16 +1,14 @@
-"""Simulation harness and analytic dataset constructions.
+"""Simulation harness and the logistic-rescaling counterexample.
 
 Covers the misspecified-logistic simulation (risk gaps vs calibration
-metrics), the population logistic-rescaling counterexample with a
-Lipschitz weighted-error certificate, and exact finite-atom constructions
-used as golden tests: the staircase, the two-atom separation example, and
-the perturbed constant forecast.
+metrics) and the population logistic-rescaling counterexample with a
+Lipschitz weighted-error certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -25,9 +23,6 @@ __all__ = [
     "SimulationRunRecord",
     "run_simulation",
     "platt_counterexample",
-    "make_staircase",
-    "make_separation_example",
-    "make_perturbed_constant",
 ]
 
 
@@ -40,8 +35,8 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("runs", "n_train", "n_eval"):
-            _check_int(name, getattr(self, name), 1)
+        for name in ("runs", "n_train", "n_eval"):  # longest list or array
+            _check_int(name, getattr(self, name), 1, np.iinfo(np.intp).max)
         _check_number("tau", self.tau, "[0, 1]")
 
 
@@ -108,47 +103,6 @@ def run_simulation(config: SimulationConfig) -> List[SimulationRunRecord]:
     record i does not depend on how many runs are requested.
     """
     return [_one_run(config, i) for i in range(config.runs)]
-
-
-def make_staircase(N: int) -> List[Tuple[float, float, float]]:
-    """Uniform forecasts with a piecewise-constant conditional mean.
-
-    On each band ((i-1)/N, i/N] the conditional mean is (i-0.5)/N. Each
-    band is split at its midpoint into two half-band atoms placed at their
-    mass centroids, which reproduces every interval integral of the
-    continuous construction exactly; the scan supremum is 1/(8 N^2).
-    """
-    _check_int("N", N, 1)
-    atoms = []
-    for i in range(1, N + 1):
-        mean = (i - 0.5) / N
-        lower_centroid = (i - 1) / N + 1.0 / (4 * N)
-        upper_centroid = (i - 0.5) / N + 1.0 / (4 * N)
-        atoms.append((lower_centroid, mean, 1.0 / (2 * N)))
-        atoms.append((upper_centroid, mean, 1.0 / (2 * N)))
-    return atoms
-
-
-def make_separation_example(b: float) -> List[Tuple[float, float, float]]:
-    """Two atoms separated by b with crossed conditional means.
-
-    Forecast 0.5(1-b) has conditional mean 1; forecast 0.5(1+b) has mean 0;
-    masses are 1/2 each. Exact values: ECE = 0.5(1+b) and the L1 distance
-    to the nearest calibrated forecast is 0.5 b.
-    """
-    _check_number("b", b, "(0, 1]")
-    return [(0.5 * (1.0 - b), 1.0, 0.5), (0.5 * (1.0 + b), 0.0, 0.5)]
-
-
-def make_perturbed_constant(epsilon: float) -> List[Tuple[float, float, float]]:
-    """Near-constant forecast around 0.75 with a sign-flipped slope.
-
-    X ~ Bernoulli(0.75) with Y = X and forecast 0.75 + eps - 2*eps*x gives
-    atoms (0.75-eps, mean 1, mass 0.75) and (0.75+eps, mean 0, mass 0.25).
-    Exact ECE = 3/8 + eps while the Lipschitz weighted error is <= 2*eps.
-    """
-    _check_number("epsilon", epsilon, "(0, 0.25)")
-    return [(0.75 - epsilon, 1.0, 0.75), (0.75 + epsilon, 0.0, 0.25)]
 
 
 def _rescaled_atoms(atoms, a: float, b: float) -> GroupedDataset:

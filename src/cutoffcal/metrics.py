@@ -10,6 +10,7 @@ over prefix sums computes it exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,8 +25,6 @@ __all__ = [
     "binned_ece",
     "oracle_ece",
     "lipschitz_wce",
-    "bv_wce",
-    "effective_support_size",
     "concentration_radius",
 ]
 
@@ -93,10 +92,10 @@ def binned_ece(data: GroupedDataset, num_bins: int) -> float:
     formed, so memory is O(m) for any N.
 
     Caveat: this measures the calibration of the *binned* forecast; it can
-    be near zero while the unbinned forecast has a large interval-supremum
-    error (see the staircase construction in the experiments module).
+    be zero while the unbinned forecast has a positive interval-supremum
+    error, as on a staircase whose steps align with the bins.
     """
-    _check_int("num_bins", num_bins, 1)
+    _check_int("num_bins", num_bins, 1, sys.float_info.max)
     # sorted groups fall into nondecreasing bins: sum each bin's run
     b = np.clip(np.ceil(data.forecasts * num_bins), 1, num_bins)
     start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
@@ -222,59 +221,3 @@ def _kkt_weights(S: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
     return 1.0 + np.minimum(U - np.maximum.accumulate(U),
                             L - np.maximum.accumulate(L[::-1])[::-1])
 
-
-def bv_wce(data: GroupedDataset, total_variation: float) -> float:
-    """Exact bounded-variation weighted error V(M): the maximum of
-    sum_j w_j r_j / n over |w_j| <= 1 and sum_j |w_{j+1} - w_j| <= M,
-    for M = total_variation >= 2 (inf allowed).
-
-    At a vertex of this LP every maximal run of equal w sits at +-1 but
-    at most one, whose value a the tight budget row pins. An interior run
-    has equal neighbours (else the TV would not depend on a), so TV =
-    (even) + 2 |L - a|; an end run gives TV = (even) + |L - a|. So a is an
-    integer for even M, and V(k) = phi(k) there, phi(k) being the best
-    r.w over w in {-1, 0, 1}^m with TV(w) <= k; at odd k a may be a half,
-    V(k) = max(phi(k), (phi(k-1) + phi(k+1)) / 2), and V is linear in
-    between (the concave envelope of phi, as Lagrangian duality gives for
-    the totally unimodular LP without the budget row).
-
-    phi(0..B) is a DP over budget layers b and levels l in {-1, 0, 1}:
-    the best value of w_0..w_j with w_j = l and TV <= b is F[l][j] =
-    l P[j+1] + max_{i <= j} (G[i] - l P[i]), a run at l over groups i..j
-    after the best entry G[i] into l at i (from layer b - |l - l'|, or 0
-    at i = 0), with P the scan's prefix sums. Intervals are priced as in
-    the scan, so bv_wce(data, 2) >= cutoff_error(data).value holds
-    bitwise. B = 2 ceil(M/2), capped at the TV of sign(r) (at least 2),
-    where phi reaches sum |r|; the cost is O(m B).
-    """
-    _check_number("total_variation", total_variation, "[2, inf]")
-    signs = np.sign(data.residual_sums[data.residual_sums != 0.0])
-    top = max(2, 2 * int(np.count_nonzero(signs[1:] != signs[:-1])))
-    B = (top if total_variation >= top
-         else 2 * math.ceil(total_variation / 2.0))
-    P = _prefix_sums(data.residual_sums)
-    V = np.empty(B + 1)   # phi(b), then V(b)
-    below = np.full((3, len(P) - 1), -np.inf)   # the layers under b = 0
-    layers = [below, below, below]              # layer k at index k % 3
-    for b in range(B + 1):
-        F = np.empty_like(below)
-        for a, level in enumerate((-1, 0, 1)):
-            prev = [layers[(b - abs(a - c)) % 3][c, :-1]
-                    for c in range(3) if c != a]
-            G = np.concatenate(([0.0], np.maximum(*prev)))
-            F[a] = level * P[1:] + np.maximum.accumulate(G - level * P[:-1])
-        layers[b % 3] = np.maximum(F, layers[(b - 1) % 3])
-        V[b] = layers[b % 3][:, -1].max()
-    V[1::2] = np.maximum(V[1::2], (V[:-1:2] + V[2::2]) / 2.0)
-    return float(np.interp(total_variation, np.arange(B + 1), V)) / data.n
-
-
-def effective_support_size(data: GroupedDataset, gamma: float) -> int:
-    """Smallest k with the k heaviest forecast atoms covering mass 1-gamma,
-    for gamma in [0, 1)."""
-    _check_number("gamma", gamma, "[0, 1)")
-    masses = np.sort(data.counts)[::-1]
-    target = (1.0 - gamma - 1e-12) * data.n
-    cum = np.cumsum(masses)
-    # all m atoms cover the whole mass even where cum[-1] rounds below n
-    return min(int(np.searchsorted(cum, target) + 1), len(masses))

@@ -1,6 +1,7 @@
 """Independent oracles that several test modules check the library against:
-exhaustive interval enumeration, exhaustive monotone least squares and a
-grid search for the Lipschitz weighted error."""
+exhaustive interval enumeration, exhaustive monotone least squares, a
+grid search for the Lipschitz weighted error and the threshold loss that
+prices each decision."""
 
 import itertools
 
@@ -63,3 +64,11 @@ def grid_search_wce(data, points=41):
         carried = np.where(feasible, value[:, None], -np.inf).max(axis=0)
         value = carried + grid * r[j]
     return float(value.max())
+
+
+def loss_bd(y, yhat, tau):
+    """Threshold loss: tau for a false positive, (1-tau) scaled by y for a
+    miss. y and yhat are scalars or array-likes; scalars give a float."""
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
+    loss = tau * (1.0 - y) * yhat + (1.0 - tau) * y * (1 - yhat)
+    return float(loss) if loss.ndim == 0 else loss

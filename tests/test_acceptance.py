@@ -8,17 +8,17 @@ import time
 import numpy as np
 import pytest
 
-from cutoffcal import (GroupedDataset, SeededRng, bv_wce, certify,
-                       cutoff_error, fit_isotonic, grouped_from_arrays,
-                       lipschitz_wce, make_perturbed_constant,
-                       make_separation_example, make_staircase, oracle_ece,
-                       platt_counterexample, risks, run_simulation,
-                       SimulationConfig, apply_map)
+from cutoffcal import (GroupedDataset, SeededRng, certify, cutoff_error,
+                       fit_isotonic, grouped_from_arrays, lipschitz_wce,
+                       oracle_ece, platt_counterexample, risks,
+                       run_simulation, SimulationConfig, apply_map)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _certified_wce
 from cutoffcal.metrics import concentration_radius
 from oracles import (brute_force_cutoff, exhaustive_monotone_lsq,
                      grid_search_wce)
+from paper import (bv_wce, make_perturbed_constant, make_separation_example,
+                   make_staircase)
 
 
 def report(num, ok, detail):

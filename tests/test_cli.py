@@ -395,6 +395,8 @@ def test_stdout_emission(empirical_csv, capsys):
     ["calibrate", "{csv}", "--method", "platt", "--epsilon", "0.1"],
     ["simulate", "--runs", "0"],
     ["simulate", "--tau", "2"],
+    ["simulate", "--runs", "1", "--n-eval", str(10 ** 30)],
+    ["audit", "{csv}", "--bins", str(10 ** 400)],
 ])
 def test_bad_arguments_exit_2(args, empirical_csv, capsys):
     assert main([a.format(csv=empirical_csv) for a in args]) == 2

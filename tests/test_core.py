@@ -519,6 +519,16 @@ def test_package_exports_each_modules_all():
     public = {name for name, value in vars(cutoffcal).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set().union(*(m.__all__ for m in modules))
+    # a new public name is added here on purpose, or not at all
+    assert public == {
+        "CalibratorMap", "CertificationVerdict", "Columns", "CutoffEstimate",
+        "GroupedDataset", "LipschitzWeights", "PlattDivergence", "SeededRng",
+        "SimulationConfig", "SimulationRunRecord", "ValidationError",
+        "apply_map", "binned_ece", "certify", "concentration_radius",
+        "cutoff_error", "default_epsilon", "fit_isotonic",
+        "fit_modified_platt", "fit_platt", "grouped_from_arrays",
+        "lipschitz_wce", "load_columns", "min_admissible_c", "oracle_ece",
+        "platt_counterexample", "risk_st", "risks", "run_simulation"}
 
 
 def _bits(result):
@@ -585,25 +595,16 @@ def test_per_row_functions_refuse_what_is_not_a_number(name, bad):
     (lambda: cutoffcal.apply_map(
         cutoffcal.CalibratorMap("constant", constant_value=0.5), "0.5"),
      "forecasts"),
-    (lambda: cutoffcal.DiscreteMixture((("0.5", 1.0),)),
-     "mixture (tau, weight) pairs"),
-    (lambda: cutoffcal.DiscreteMixture(((0.5, [0.5, 0.5]),)),
-     "mixture (tau, weight) pairs"),
     (lambda: GroupedDataset(["a"], [0.0], [1.0], [0.0], 1), "forecasts"),
     (lambda: GroupedDataset([0.5], [0.0], ["1"], [0.0], 1), "group sums"),
     (lambda: GroupedDataset.from_atoms([("a", 0.5, 1.0)]), "atom triples"),
-    (lambda: cutoffcal.loss_bd(["0.5"], 1, 0.5), "y"),
-], ids=["apply_map", "DiscreteMixture", "DiscreteMixture nested",
-        "GroupedDataset forecasts", "GroupedDataset sums", "from_atoms",
-        "loss_bd y"])
+], ids=["apply_map", "GroupedDataset forecasts", "GroupedDataset sums",
+        "from_atoms"])
 def test_arrays_of_non_numbers_raise(call, name):
     with pytest.raises(ValidationError,
                        match=f"^{re.escape(name)} must be numbers$"):
         call()
 
-
-_DATA = grouped_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0])
-_MIXTURE = cutoffcal.DiscreteMixture(((0.5, 1.0),))
 
 # every scalar argument checked against an interval: a call that passes
 # the value as that argument, its name, and a value outside the interval
@@ -622,27 +623,14 @@ SCALARS = {
         lambda v: cutoffcal.fit_modified_platt([0.2, 0.4, 0.6, 0.8],
                                                [0, 1, 0, 1], v),
         "epsilon_n", 0.0),
-    "bv_wce total_variation": (
-        lambda v: cutoffcal.bv_wce(_DATA, v), "total_variation", 1.5),
-    "effective_support_size gamma": (
-        lambda v: cutoffcal.effective_support_size(_DATA, v), "gamma", 1.0),
-    "make_separation_example b": (
-        cutoffcal.make_separation_example, "b", 0.0),
-    "make_perturbed_constant epsilon": (
-        cutoffcal.make_perturbed_constant, "epsilon", 0.25),
     "GroupedDataset n": (
         lambda v: GroupedDataset([0.5], [0.0], [1.0], [0.5], v), "n", 0),
-    "loss_bd tau": (lambda v: cutoffcal.loss_bd(0.5, 1, v), "tau", 1.5),
     "risks tau": (
         lambda v: cutoffcal.risks([0.2, 0.8], [0.3, 0.6], v), "tau", -0.1),
     "SimulationConfig tau": (
         lambda v: cutoffcal.SimulationConfig(tau=v), "tau", 1.5),
     "risk_st ystar": (
         lambda v: cutoffcal.risk_st([0.2, 0.8], [0.0, 1.0], v), "ystar", 2.0),
-    "schervish_loss y": (
-        lambda v: cutoffcal.schervish_loss(_MIXTURE, v, 0.5), "y", 1.5),
-    "schervish_loss p": (
-        lambda v: cutoffcal.schervish_loss(_MIXTURE, 1.0, v), "p", -0.5),
 }
 
 

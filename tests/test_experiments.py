@@ -6,11 +6,12 @@ import pytest
 
 from cutoffcal import (GroupedDataset, SeededRng, SimulationConfig,
                        ValidationError, binned_ece, cutoff_error,
-                       lipschitz_wce, make_perturbed_constant,
-                       make_separation_example, make_staircase, oracle_ece,
-                       platt_counterexample, run_simulation)
+                       lipschitz_wce, oracle_ece, platt_counterexample,
+                       run_simulation)
 from cutoffcal.calibrate import _sigmoid, population_platt
 from cutoffcal.experiments import _conditional_mean, _rescaled_atoms
+from paper import (make_perturbed_constant, make_separation_example,
+                   make_staircase)
 
 
 def test_staircase_masses_and_golden_cutoff():
@@ -39,18 +40,6 @@ def test_perturbed_constant_exact_values():
     data = GroupedDataset.from_atoms(make_perturbed_constant(0.01))
     assert oracle_ece(data) == pytest.approx(0.385, abs=1e-15)
     assert lipschitz_wce(data).objective <= 2 * 0.01 + 1e-9
-
-
-def test_construction_input_validation():
-    for bad in (0, 2.5, -1, True):
-        with pytest.raises(ValidationError):
-            make_staircase(bad)
-    for bad in (0.0, math.nan, 1.5):
-        with pytest.raises(ValidationError):
-            make_separation_example(bad)
-    for bad in (0.3, 0.0, math.nan):
-        with pytest.raises(ValidationError):
-            make_perturbed_constant(bad)
 
 
 def test_conditional_mean_shape():
@@ -208,5 +197,10 @@ def test_config_validation():
                 dict(tau=math.nan)):
         with pytest.raises(ValidationError):
             SimulationConfig(**bad)
+    # sizes no list or array can have, refused before numpy allocates
+    for name in ("runs", "n_train", "n_eval"):
+        for size in (np.iinfo(np.intp).max + 1, 10 ** 30):
+            with pytest.raises(ValidationError, match=f"^{name} must be"):
+                SimulationConfig(**{name: size})
     with pytest.raises(ValidationError):
         run_simulation(SimulationConfig(runs=1, n_eval=10, master_seed=-1))
