@@ -403,6 +403,40 @@ def test_bad_arguments_exit_2(args, empirical_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# every numeric option given a value that parses but lies outside what it
+# takes, and the argument its error names
+@pytest.mark.parametrize("args, name", [
+    (["audit", "{csv}", "--delta", "nan"], "delta"),
+    (["audit", "{csv}", "--delta", "0"], "delta"),
+    (["audit", "{csv}", "--bins", "-3"], "num_bins"),
+    (["certify", "{csv}", "--c", "0.8", "--delta", "1.5"], "delta"),
+    (["certify", "{csv}", "--c=-inf"], "c"),
+    (["calibrate", "{csv}", "--method", "modified-platt", "--epsilon", "nan"],
+     "epsilon_n"),
+    (["calibrate", "{csv}", "--method", "modified-platt", "--epsilon", "0"],
+     "epsilon_n"),
+    (["decide", "{oracle}", "--tau", "1.5"], "tau"),
+    (["decide", "{oracle}", "--tau", "nan"], "tau"),
+    (["decide", "{oracle}", "--tau", "0.35", "--ystar", "2"], "ystar"),
+    (["decide", "{oracle}", "--tau", "0.35", "--ystar=-inf"], "ystar"),
+    (["simulate", "--runs", "-1"], "runs"),
+    (["simulate", "--runs", str(10 ** 30)], "runs"),
+    (["simulate", "--runs", "1", "--n-train", "0"], "n_train"),
+    (["simulate", "--runs", "1", "--n-train", str(10 ** 30)], "n_train"),
+    (["simulate", "--runs", "1", "--n-eval", "0"], "n_eval"),
+    (["simulate", "--tau", "nan"], "tau"),
+    (["simulate", "--runs", "1", "--n-eval", "10", "--seed", "-1"], "seed"),
+])
+def test_bad_option_values_exit_2_naming_the_argument(
+        args, name, empirical_csv, oracle_csv, capsys):
+    args = [a.format(csv=empirical_csv, oracle=oracle_csv) for a in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be ")
+    assert "Traceback" not in captured.err
+
+
 def test_byte_order_mark_header(empirical_csv, tmp_path, capsysbinary):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + empirical_csv.read_bytes())

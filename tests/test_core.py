@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import re
+import sys
 import threading
 from fractions import Fraction
 
@@ -644,3 +645,57 @@ def test_scalar_arguments_are_one_number_in_their_interval(argument, bad):
              "too large for a float": 10 ** 400}[bad]
     with pytest.raises(ValidationError, match=f"^{name} must be "):
         call(value)
+
+
+# every integer argument checked by _check_int: a call that passes the
+# value as that argument, its name, its least value, and its greatest
+# value if it has one (a float's or an array length's limit)
+INTEGERS = {
+    "SeededRng seed": (SeededRng, "seed", 0, None),
+    "SeededRng stream_id": (lambda v: SeededRng(0, v), "stream_id", 0, None),
+    "SimulationConfig runs": (
+        lambda v: cutoffcal.SimulationConfig(runs=v), "runs", 1,
+        np.iinfo(np.intp).max),
+    "SimulationConfig n_train": (
+        lambda v: cutoffcal.SimulationConfig(n_train=v), "n_train", 1,
+        np.iinfo(np.intp).max),
+    "SimulationConfig n_eval": (
+        lambda v: cutoffcal.SimulationConfig(n_eval=v), "n_eval", 1,
+        np.iinfo(np.intp).max),
+    "binned_ece num_bins": (
+        lambda v: cutoffcal.binned_ece(grouped_from_arrays([0.5], [0.5]), v),
+        "num_bins", 1, sys.float_info.max),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "integral float",
+                                 "numpy float", "string", "array", "None",
+                                 "nan", "below the least"])
+@pytest.mark.parametrize("argument", INTEGERS)
+def test_integer_arguments_are_one_integer_at_least_their_least(argument,
+                                                                bad):
+    call, name, low, _ = INTEGERS[argument]
+    value = {"bool": True, "float": 2.5, "integral float": 3.0,
+             "numpy float": np.float64(4.0), "string": "3",
+             "array": np.array([3, 3]), "None": None, "nan": math.nan,
+             "below the least": low - 1}[bad]
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must be an integer >= {low}, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("argument", [a for a in INTEGERS if INTEGERS[a][3]])
+def test_integer_arguments_above_their_greatest_raise(argument):
+    # refused before numpy is asked for an array that long
+    call, name, _, high = INTEGERS[argument]
+    message = f"^{name} must be at most {re.escape(str(high))}$"
+    for value in (int(high) + 1, 10 ** 400):
+        with pytest.raises(ValidationError, match=message):
+            call(value)
+
+
+@pytest.mark.parametrize("argument", INTEGERS)
+def test_integer_arguments_take_numpy_integers(argument):
+    call, _, low, _ = INTEGERS[argument]
+    for kind in (np.int64, np.uint8):
+        call(kind(low))
